@@ -154,12 +154,17 @@ main(int argc, char **argv)
                     "fills=%llu\n",
                     (unsigned long long)nf, (unsigned long long)nfill,
                     (unsigned long long)lf, (unsigned long long)lfill);
-        std::printf("hops: nodeToMem=%llu memEject=%llu l2Replies=%llu "
-                    "nodeFromMem=%llu\n",
-                    (unsigned long long)gpu.dbgNodeToMem,
-                    (unsigned long long)gpu.dbgMemEject,
-                    (unsigned long long)gpu.dbgL2Replies,
-                    (unsigned long long)gpu.dbgNodeFromMem);
+        {
+            std::uint64_t to_mem = 0, from_mem = 0;
+            for (auto &x : gpu.noc2ReqXbars())
+                to_mem += x->packetsDelivered();
+            for (auto &x : gpu.noc2ReplyXbars())
+                from_mem += x->packetsDelivered();
+            std::printf("noc2 packets delivered: nodeToMem=%llu "
+                        "memToNode=%llu\n",
+                        (unsigned long long)to_mem,
+                        (unsigned long long)from_mem);
+        }
         {
             double q = 0, insvc = 0, busy = 0;
             std::uint64_t rh = 0, rmiss = 0;

@@ -13,10 +13,9 @@ SystemConfig::summary() const
 {
     return csprintf(
         "%u cores, %u L2 slices, %u channels, %uB lines, L1 %uKB/%u-way "
-        "lat %u, L2 %uKB/%u-way lat %u, NoC ratio %.2f",
+        "lat %u, L2 %uKB/%u-way lat %u",
         numCores, numL2Slices, numChannels, lineBytes, l1SizeBytes / 1024,
-        l1Assoc, l1Latency, l2SliceSizeBytes / 1024, l2Assoc, l2Latency,
-        nocClockRatio);
+        l1Assoc, l1Latency, l2SliceSizeBytes / 1024, l2Assoc, l2Latency);
 }
 
 void
@@ -62,9 +61,6 @@ SystemConfig::validate() const
                   "nonzero", c.level, c.mshrs, c.targets);
     }
 
-    if (nocClockRatio <= 0.0)
-        fatal("platform: NoC clock ratio %.3f must be positive",
-              nocClockRatio);
     if (nodeQueueCap == 0)
         fatal("platform: DC-L1 node queue capacity is zero — every "
               "request path would be permanently blocked");
@@ -103,11 +99,6 @@ DesignConfig::validate(const SystemConfig &sys) const
     if (sys.numCores % clusters != 0)
         fatal("design %s: %u cores not divisible by %u clusters",
               name.c_str(), sys.numCores, clusters);
-    const std::uint32_t m = nodesPerCluster();
-    if (m > 1 && sys.numL2Slices % m != 0) {
-        // Partitioned NoC#2 impossible; a full crossbar is used instead
-        // (this is the Sh40 case in the paper). Nothing to reject.
-    }
 }
 
 std::uint32_t
@@ -180,9 +171,8 @@ crossbarInventory(const DesignConfig &design, const SystemConfig &sys)
     inv.push_back({n, m, z, design.noc1ClockRatio, kShortLinkMm, 1});
     inv.push_back({m, n, z, design.noc1ClockRatio, kShortLinkMm, 1});
 
-    // NoC#2: partitioned when the per-cluster home count divides the
-    // slice count; otherwise one full crossbar (the Sh40 case).
-    if (m > 1 && l % m == 0) {
+    // NoC#2: M partitions or one full crossbar.
+    if (design.partitionedNoc2(sys)) {
         inv.push_back({z, l / m, m, design.noc2ClockRatio, kLongLinkMm});
         inv.push_back({l / m, z, m, design.noc2ClockRatio, kLongLinkMm});
     } else {

@@ -91,6 +91,20 @@ struct DesignConfig
         return sys.numCores / clusters;
     }
 
+    /**
+     * Is NoC#2 split into M = nodesPerCluster() independent crossbars,
+     * one per home index, each serving numL2Slices/M slices? Only when
+     * M > 1 divides the slice count. Otherwise NoC#2 is one full
+     * crossbar: this is the Sh40 case in the paper (40 homes do not
+     * divide 32 slices), a valid design, not an error.
+     */
+    bool
+    partitionedNoc2(const SystemConfig &sys) const
+    {
+        const std::uint32_t m = nodesPerCluster();
+        return m > 1 && sys.numL2Slices % m == 0;
+    }
+
     /** Validate against a platform; fatal() on inconsistency. */
     void validate(const SystemConfig &sys) const;
 

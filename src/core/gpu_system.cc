@@ -7,7 +7,7 @@
 #include "check/request_ledger.hh"
 #include "common/env.hh"
 #include "common/log.hh"
-#include "noc/packet.hh"
+#include "noc/cdxbar.hh"
 #include "prof/prof.hh"
 
 namespace dcl1::core
@@ -41,42 +41,14 @@ GpuSystem::GpuSystem(const SystemConfig &sys, const DesignConfig &design,
     : sys_(sys), design_(design),
       addrMap_(sys.numL2Slices, sys.numChannels, sys.chunkBytes)
 {
-    DCL1_PROF_SCOPE(Build);
-    sys_.validate();
-    design_.validate(sys_);
-    buildCommon(&app, std::move(source));
-    switch (design_.topology) {
-      case Topology::PrivateBaseline:
-        buildBaseline();
-        break;
-      case Topology::CdXbar:
-        buildCdx();
-        break;
-      case Topology::DcL1:
-        buildDcl1();
-        break;
-    }
+    build(&app, std::move(source));
 }
 
 GpuSystem::GpuSystem(const SystemConfig &sys, const DesignConfig &design)
     : sys_(sys), design_(design),
       addrMap_(sys.numL2Slices, sys.numChannels, sys.chunkBytes)
 {
-    DCL1_PROF_SCOPE(Build);
-    sys_.validate();
-    design_.validate(sys_);
-    buildCommon(nullptr, nullptr);
-    switch (design_.topology) {
-      case Topology::PrivateBaseline:
-        buildBaseline();
-        break;
-      case Topology::CdXbar:
-        buildCdx();
-        break;
-      case Topology::DcL1:
-        buildDcl1();
-        break;
-    }
+    build(nullptr, nullptr);
 }
 
 GpuSystem::~GpuSystem()
@@ -137,9 +109,13 @@ GpuSystem::l2BankParams() const
 }
 
 void
-GpuSystem::buildCommon(const workload::WorkloadParams *app,
-                       std::unique_ptr<workload::TraceSource> source)
+GpuSystem::build(const workload::WorkloadParams *app,
+                 std::unique_ptr<workload::TraceSource> source)
 {
+    DCL1_PROF_SCOPE(Build);
+    sys_.validate();
+    design_.validate(sys_);
+
     if (source) {
         source_ = std::move(source);
     } else if (app) {
@@ -148,12 +124,10 @@ GpuSystem::buildCommon(const workload::WorkloadParams *app,
             sys_.lineBytes, sys_.seed);
     }
 
-    const std::uint32_t tracked_caches =
-        design_.topology == Topology::DcL1 ? design_.numNodes
-                                           : sys_.numCores;
-    tracker_ = std::make_unique<mem::ReplicationTracker>(tracked_caches);
+    const bool dcl1 = design_.topology == Topology::DcL1;
+    tracker_ = std::make_unique<mem::ReplicationTracker>(
+        dcl1 ? design_.numNodes : sys_.numCores);
 
-    // Memory side is common to all topologies.
     for (std::uint32_t c = 0; c < sys_.numChannels; ++c) {
         mem::DramParams dp = sys_.dram;
         dp.name = "dram" + std::to_string(c);
@@ -167,140 +141,99 @@ GpuSystem::buildCommon(const workload::WorkloadParams *app,
         slices_.push_back(std::make_unique<mem::L2Slice>(
             l2p, s, channels_[addrMap_.channelOfSlice(s)].get()));
     }
-}
 
-void
-GpuSystem::buildBaseline()
-{
+    // DC-L1 designs move each core's L1 out into the nodes (the
+    // paper's "Lite Core").
     for (CoreId c = 0; c < sys_.numCores; ++c) {
         gpucore::LiteCoreParams cp;
         cp.id = c;
         cp.sched = sys_.warpScheduler;
         cp.lineBytes = sys_.lineBytes;
-        cp.hasL1 = true;
-        cp.l1 = l1BankParams();
+        cp.hasL1 = !dcl1;
+        if (cp.hasL1)
+            cp.l1 = l1BankParams();
         cores_.push_back(std::make_unique<gpucore::LiteCore>(
-            cp, source_.get(), tracker_.get()));
+            cp, source_.get(), dcl1 ? nullptr : tracker_.get()));
     }
-
-    noc::XbarParams req;
-    req.name = "noc.req";
-    req.numInputs = sys_.numCores;
-    req.numOutputs = sys_.numL2Slices;
-    req.clockRatio = design_.noc2ClockRatio;
-    mainReq_ = std::make_unique<noc::Crossbar>(req);
-
-    noc::XbarParams rep;
-    rep.name = "noc.reply";
-    rep.numInputs = sys_.numL2Slices;
-    rep.numOutputs = sys_.numCores;
-    rep.clockRatio = design_.noc2ClockRatio;
-    mainReply_ = std::make_unique<noc::Crossbar>(rep);
-}
-
-void
-GpuSystem::buildCdx()
-{
-    for (CoreId c = 0; c < sys_.numCores; ++c) {
-        gpucore::LiteCoreParams cp;
-        cp.id = c;
-        cp.sched = sys_.warpScheduler;
-        cp.lineBytes = sys_.lineBytes;
-        cp.hasL1 = true;
-        cp.l1 = l1BankParams();
-        cores_.push_back(std::make_unique<gpucore::LiteCore>(
-            cp, source_.get(), tracker_.get()));
-    }
-
-    noc::CdxParams req;
-    req.name = "cdx.req";
-    req.direction = noc::CdxDirection::Concentrate;
-    req.clusters = design_.cdxClusters;
-    req.perCluster = sys_.numCores / design_.cdxClusters;
-    req.trunksPerCluster = design_.cdxTrunksPerCluster;
-    req.globalPorts = sys_.numL2Slices;
-    req.localClockRatio = design_.cdxLocalClockRatio;
-    req.globalClockRatio = design_.cdxGlobalClockRatio;
-    cdxReq_ = std::make_unique<noc::CdXbarNet>(req);
-
-    noc::CdxParams rep = req;
-    rep.name = "cdx.reply";
-    rep.direction = noc::CdxDirection::Distribute;
-    cdxReply_ = std::make_unique<noc::CdXbarNet>(rep);
-}
-
-void
-GpuSystem::buildDcl1()
-{
-    org_ = std::make_unique<Organization>(design_, sys_);
-
-    for (CoreId c = 0; c < sys_.numCores; ++c) {
-        gpucore::LiteCoreParams cp;
-        cp.id = c;
-        cp.sched = sys_.warpScheduler;
-        cp.lineBytes = sys_.lineBytes;
-        cp.hasL1 = false; // the paper's "Lite Core"
-        cores_.push_back(std::make_unique<gpucore::LiteCore>(
-            cp, source_.get(), nullptr));
-    }
-
-    for (NodeId n = 0; n < design_.numNodes; ++n) {
-        nodes_.push_back(std::make_unique<DcL1Node>(
-            l1BankParams(), n, sys_.nodeQueueCap, tracker_.get(),
-            design_.fullLineReplies));
-    }
-
-    const std::uint32_t z = design_.clusters;
-    const std::uint32_t n_per = org_->coresPerCluster();
-    const std::uint32_t m = org_->nodesPerCluster();
-
-    for (std::uint32_t zi = 0; zi < z; ++zi) {
-        noc::XbarParams req;
-        req.name = "noc1.req" + std::to_string(zi);
-        req.numInputs = n_per;
-        req.numOutputs = m;
-        req.clockRatio = design_.noc1ClockRatio;
-        noc1Req_.push_back(std::make_unique<noc::Crossbar>(req));
-
-        noc::XbarParams rep;
-        rep.name = "noc1.reply" + std::to_string(zi);
-        rep.numInputs = m;
-        rep.numOutputs = n_per;
-        rep.clockRatio = design_.noc1ClockRatio;
-        noc1Reply_.push_back(std::make_unique<noc::Crossbar>(rep));
-    }
-
-    if (org_->partitionedNoc2()) {
-        const std::uint32_t slices_per = sys_.numL2Slices / m;
-        for (std::uint32_t g = 0; g < m; ++g) {
-            noc::XbarParams req;
-            req.name = "noc2.req" + std::to_string(g);
-            req.numInputs = z;
-            req.numOutputs = slices_per;
-            req.clockRatio = design_.noc2ClockRatio;
-            noc2Req_.push_back(std::make_unique<noc::Crossbar>(req));
-
-            noc::XbarParams rep;
-            rep.name = "noc2.reply" + std::to_string(g);
-            rep.numInputs = slices_per;
-            rep.numOutputs = z;
-            rep.clockRatio = design_.noc2ClockRatio;
-            noc2Reply_.push_back(std::make_unique<noc::Crossbar>(rep));
+    if (dcl1) {
+        org_ = std::make_unique<Organization>(design_, sys_);
+        for (NodeId n = 0; n < design_.numNodes; ++n) {
+            nodes_.push_back(std::make_unique<DcL1Node>(
+                l1BankParams(), n, sys_.nodeQueueCap, tracker_.get(),
+                design_.fullLineReplies));
         }
-    } else {
-        noc::XbarParams req;
-        req.name = "noc2.req";
-        req.numInputs = design_.numNodes;
-        req.numOutputs = sys_.numL2Slices;
-        req.clockRatio = design_.noc2ClockRatio;
-        noc2Req_.push_back(std::make_unique<noc::Crossbar>(req));
+    }
+    buildNetworks();
+}
 
-        noc::XbarParams rep;
-        rep.name = "noc2.reply";
-        rep.numInputs = sys_.numL2Slices;
-        rep.numOutputs = design_.numNodes;
-        rep.clockRatio = design_.noc2ClockRatio;
-        noc2Reply_.push_back(std::make_unique<noc::Crossbar>(rep));
+void
+GpuSystem::buildNetworks()
+{
+    // A request bank of `count` crossbars, near x far ports each, and
+    // its mirror-image reply bank. Near endpoints are cores (NoC#1,
+    // Baseline) or nodes (NoC#2); far ones nodes (NoC#1) or slices.
+    auto add_pair = [this](const std::string &name, bool numbered,
+                           std::uint32_t count, std::uint32_t near,
+                           std::uint32_t far, noc::Spread spread,
+                           double clock_ratio, std::uint32_t level) {
+        noc::XbarNetParams p;
+        p.xbar.name = name + ".req";
+        p.xbar.numInputs = near;
+        p.xbar.numOutputs = far;
+        p.xbar.clockRatio = clock_ratio;
+        p.xbar.level = level;
+        p.count = count;
+        p.numbered = numbered;
+        p.inSpread = p.outSpread = spread;
+        p.flitBytes = sys_.flitBytes;
+        nets_.push_back(std::make_unique<noc::XbarNet>(p));
+        p.xbar.name = name + ".reply";
+        std::swap(p.xbar.numInputs, p.xbar.numOutputs);
+        nets_.push_back(std::make_unique<noc::XbarNet>(p));
+    };
+
+    switch (design_.topology) {
+      case Topology::PrivateBaseline:
+        add_pair("noc", false, 1, sys_.numCores, sys_.numL2Slices,
+                 noc::Spread::Blocked, design_.noc2ClockRatio, 2);
+        break;
+      case Topology::CdXbar: {
+        noc::CdxParams req;
+        req.name = "cdx.req";
+        req.direction = noc::CdxDirection::Concentrate;
+        req.clusters = design_.cdxClusters;
+        req.perCluster = sys_.numCores / design_.cdxClusters;
+        req.trunksPerCluster = design_.cdxTrunksPerCluster;
+        req.globalPorts = sys_.numL2Slices;
+        req.localClockRatio = design_.cdxLocalClockRatio;
+        req.globalClockRatio = design_.cdxGlobalClockRatio;
+        req.flitBytes = sys_.flitBytes;
+        nets_.push_back(std::make_unique<noc::CdXbarNet>(req));
+
+        noc::CdxParams rep = req;
+        rep.name = "cdx.reply";
+        rep.direction = noc::CdxDirection::Distribute;
+        nets_.push_back(std::make_unique<noc::CdXbarNet>(rep));
+        break;
+      }
+      case Topology::DcL1: {
+        // NoC#1: one crossbar per cluster; cores and nodes are numbered
+        // cluster by cluster.
+        const std::uint32_t z = design_.clusters;
+        const std::uint32_t m = design_.nodesPerCluster();
+        add_pair("noc1", true, z, design_.coresPerCluster(sys_), m,
+                 noc::Spread::Blocked, design_.noc1ClockRatio, 1);
+        // NoC#2: partition g joins every cluster's home-g node (node
+        // n: cluster n / m, home n % m) to the slices s with s % m == g.
+        if (design_.partitionedNoc2(sys_)) {
+            add_pair("noc2", true, m, z, sys_.numL2Slices / m,
+                     noc::Spread::Interleaved, design_.noc2ClockRatio, 2);
+        } else {
+            add_pair("noc2", false, 1, design_.numNodes, sys_.numL2Slices,
+                     noc::Spread::Blocked, design_.noc2ClockRatio, 2);
+        }
+        break;
+      }
     }
 }
 
@@ -349,283 +282,119 @@ GpuSystem::tickOnce()
     if (prof::active())
         countQuiescent();
     tickMemory();
-    switch (design_.topology) {
-      case Topology::PrivateBaseline:
-        tickBaseline();
-        break;
-      case Topology::CdXbar:
-        tickCdx();
-        break;
-      case Topology::DcL1:
-        tickDcl1();
-        break;
-    }
-}
-
-void
-GpuSystem::tickBaseline()
-{
-    {
-        DCL1_PROF_SCOPE(Noc);
-        // L2 replies -> reply crossbar.
-        for (SliceId s = 0; s < sys_.numL2Slices; ++s) {
-            while (mainReply_->canInject(s)) {
-                auto reply = slices_[s]->takeReply();
-                if (!reply)
-                    break;
-                stats::tlmEnter((*reply)->tlm, stats::Seg::NocReply,
-                                cycle_);
-                noc::Packet pkt;
-                pkt.src = s;
-                pkt.dst = (*reply)->core;
-                pkt.flits = noc::flitsFor(**reply, sys_.flitBytes);
-                pkt.req = std::move(*reply);
-                mainReply_->inject(std::move(pkt));
-            }
-        }
-
-        mainReq_->tick();
-        mainReply_->tick();
-
-        // Request ejection -> L2 slices (with backpressure).
-        for (SliceId s = 0; s < sys_.numL2Slices; ++s) {
-            while (mainReq_->hasEjectable(s) &&
-                   slices_[s]->canAcceptRequest()) {
-                auto pkt = mainReq_->eject(s);
-                slices_[s]->pushRequest(std::move(pkt->req), cycle_);
-            }
-        }
-        // Reply ejection -> cores.
-        for (CoreId c = 0; c < sys_.numCores; ++c) {
-            while (mainReply_->hasEjectable(c)) {
-                auto pkt = mainReply_->eject(c);
-                cores_[c]->deliverReply(std::move(pkt->req), cycle_);
-            }
-        }
-    }
-
-    // Core outbound (L1 misses, write-throughs, atomics, bypass).
-    DCL1_PROF_SCOPE(Core);
-    for (CoreId c = 0; c < sys_.numCores; ++c) {
-        while (cores_[c]->hasOutbound() && mainReq_->canInject(c)) {
-            auto req = cores_[c]->takeOutbound();
-            (*req)->slice = addrMap_.slice((*req)->addr);
-            stats::tlmEnter((*req)->tlm, stats::Seg::NocReq, cycle_);
-            noc::Packet pkt;
-            pkt.src = c;
-            pkt.dst = (*req)->slice;
-            pkt.flits = noc::flitsFor(**req, sys_.flitBytes);
-            pkt.req = std::move(*req);
-            mainReq_->inject(std::move(pkt));
-        }
-        cores_[c]->tick(cycle_);
-    }
-}
-
-void
-GpuSystem::tickCdx()
-{
-    {
-        DCL1_PROF_SCOPE(Noc);
-        for (SliceId s = 0; s < sys_.numL2Slices; ++s) {
-            while (cdxReply_->canInject(s)) {
-                auto reply = slices_[s]->takeReply();
-                if (!reply)
-                    break;
-                const CoreId dst = (*reply)->core;
-                const std::uint32_t flits =
-                    noc::flitsFor(**reply, sys_.flitBytes);
-                stats::tlmEnter((*reply)->tlm, stats::Seg::NocReply,
-                                cycle_);
-                cdxReply_->inject(s, dst, std::move(*reply), flits);
-            }
-        }
-
-        cdxReq_->tick();
-        cdxReply_->tick();
-
-        for (SliceId s = 0; s < sys_.numL2Slices; ++s) {
-            while (slices_[s]->canAcceptRequest()) {
-                auto req = cdxReq_->eject(s);
-                if (!req)
-                    break;
-                slices_[s]->pushRequest(std::move(*req), cycle_);
-            }
-        }
-        for (CoreId c = 0; c < sys_.numCores; ++c) {
-            while (auto reply = cdxReply_->eject(c))
-                cores_[c]->deliverReply(std::move(*reply), cycle_);
-        }
-    }
-
-    DCL1_PROF_SCOPE(Core);
-    for (CoreId c = 0; c < sys_.numCores; ++c) {
-        while (cores_[c]->hasOutbound() && cdxReq_->canInject(c)) {
-            auto req = cores_[c]->takeOutbound();
-            (*req)->slice = addrMap_.slice((*req)->addr);
-            const std::uint32_t flits =
-                noc::flitsFor(**req, sys_.flitBytes);
-            const SliceId dst = (*req)->slice;
-            stats::tlmEnter((*req)->tlm, stats::Seg::NocReq, cycle_);
-            cdxReq_->inject(c, dst, std::move(*req), flits);
-        }
-        cores_[c]->tick(cycle_);
-    }
-}
-
-void
-GpuSystem::tickDcl1()
-{
-    const std::uint32_t m = org_->nodesPerCluster();
-    const std::uint32_t n_per = org_->coresPerCluster();
-    const bool partitioned = org_->partitionedNoc2();
 
     prof::ProfPhase noc_scope(prof::Phase::Noc);
 
-    // L2 replies -> NoC#2 reply crossbars.
+    // L2 replies -> memory-side reply network.
+    noc::Network &mem_reply = memReply();
     for (SliceId s = 0; s < sys_.numL2Slices; ++s) {
-        const std::uint32_t g = partitioned ? s % m : 0;
-        const std::uint32_t in = partitioned ? s / m : s;
-        noc::Crossbar &xbar = *noc2Reply_[g];
-        while (xbar.canInject(in)) {
+        while (mem_reply.canInject(s)) {
             auto reply = slices_[s]->takeReply();
             if (!reply)
                 break;
-            ++dbgL2Replies;
-            const NodeId node = (*reply)->homeNode;
+            const std::uint32_t dst =
+                nodes_.empty() ? (*reply)->core : (*reply)->homeNode;
             stats::tlmEnter((*reply)->tlm, stats::Seg::NocReply, cycle_);
-            noc::Packet pkt;
-            pkt.src = in;
-            pkt.dst = partitioned ? org_->clusterOfNode(node) : node;
-            pkt.flits = noc::flitsFor(**reply, sys_.flitBytes);
-            pkt.req = std::move(*reply);
-            xbar.inject(std::move(pkt));
+            mem_reply.inject(s, dst, std::move(*reply));
         }
     }
 
-    for (auto &x : noc1Req_)
-        x->tick();
-    for (auto &x : noc1Reply_)
-        x->tick();
-    for (auto &x : noc2Req_)
-        x->tick();
-    for (auto &x : noc2Reply_)
-        x->tick();
+    for (auto &net : nets_)
+        net->tick();
 
-    // NoC#2 ejections.
+    // Deliveries; every receiver but a core can push back.
+    noc::Network &mem_req = memReq();
     for (SliceId s = 0; s < sys_.numL2Slices; ++s) {
-        const std::uint32_t g = partitioned ? s % m : 0;
-        const std::uint32_t out = partitioned ? s / m : s;
-        noc::Crossbar &xbar = *noc2Req_[g];
-        while (xbar.hasEjectable(out) && slices_[s]->canAcceptRequest()) {
-            auto pkt = xbar.eject(out);
-            slices_[s]->pushRequest(std::move(pkt->req), cycle_);
+        while (slices_[s]->canAcceptRequest()) {
+            auto req = mem_req.eject(s);
+            if (!req)
+                break;
+            slices_[s]->pushRequest(std::move(*req), cycle_);
         }
     }
-    for (NodeId n = 0; n < design_.numNodes; ++n) {
-        const std::uint32_t g = partitioned ? n % m : 0;
-        const std::uint32_t out = partitioned ? org_->clusterOfNode(n) : n;
-        noc::Crossbar &xbar = *noc2Reply_[g];
-        while (xbar.hasEjectable(out) && nodes_[n]->canAcceptFromMem()) {
-            auto pkt = xbar.eject(out);
-            ++dbgNodeFromMem;
+    for (NodeId n = 0; n < nodes_.size(); ++n) {
+        while (nodes_[n]->canAcceptFromMem()) {
+            auto reply = mem_reply.eject(n);
+            if (!reply)
+                break;
             // Time queued in Q4 (and the fill itself) is cache time.
-            stats::tlmEnter(pkt->req->tlm, stats::Seg::Cache, cycle_);
-            nodes_[n]->pushFromMem(std::move(pkt->req));
+            stats::tlmEnter((*reply)->tlm, stats::Seg::Cache, cycle_);
+            nodes_[n]->pushFromMem(std::move(*reply));
         }
     }
-
-    // NoC#1 ejections.
-    for (NodeId n = 0; n < design_.numNodes; ++n) {
-        const std::uint32_t z = org_->clusterOfNode(n);
-        const std::uint32_t local = n % m;
-        noc::Crossbar &xbar = *noc1Req_[z];
-        while (xbar.hasEjectable(local) &&
-               nodes_[n]->canAcceptFromCore()) {
-            auto pkt = xbar.eject(local);
+    noc::Network &core_req = coreReq();
+    for (NodeId n = 0; n < nodes_.size(); ++n) {
+        while (nodes_[n]->canAcceptFromCore()) {
+            auto req = core_req.eject(n);
+            if (!req)
+                break;
             // Time queued in Q1 counts against the DC-L1 cache.
-            stats::tlmEnter(pkt->req->tlm, stats::Seg::Cache, cycle_);
-            nodes_[n]->pushFromCore(std::move(pkt->req));
+            stats::tlmEnter((*req)->tlm, stats::Seg::Cache, cycle_);
+            nodes_[n]->pushFromCore(std::move(*req));
         }
     }
+    noc::Network &core_reply = coreReply();
     for (CoreId c = 0; c < sys_.numCores; ++c) {
-        const std::uint32_t z = org_->clusterOfCore(c);
-        const std::uint32_t local = c % n_per;
-        noc::Crossbar &xbar = *noc1Reply_[z];
-        while (xbar.hasEjectable(local)) {
-            auto pkt = xbar.eject(local);
-            cores_[c]->deliverReply(std::move(pkt->req), cycle_);
-        }
+        while (auto reply = core_reply.eject(c))
+            cores_[c]->deliverReply(std::move(*reply), cycle_);
     }
 
     noc_scope.stop();
 
-    // DC-L1 nodes tick, then inject into both NoCs.
-    prof::ProfPhase node_scope(prof::Phase::Node);
-    for (NodeId n = 0; n < design_.numNodes; ++n) {
+    if (!nodes_.empty())
+        tickNodes();
+
+    // Core outbound (L1 misses, write-throughs, atomics, bypass), then
+    // the cores tick.
+    DCL1_PROF_SCOPE(Core);
+    for (CoreId c = 0; c < sys_.numCores; ++c) {
+        while (cores_[c]->hasOutbound() && core_req.canInject(c)) {
+            auto req = cores_[c]->takeOutbound();
+            const std::uint32_t dst = routeFromCore(c, **req);
+            stats::tlmEnter((*req)->tlm, stats::Seg::NocReq, cycle_);
+            core_req.inject(c, dst, std::move(*req));
+        }
+        cores_[c]->tick(cycle_);
+    }
+}
+
+std::uint32_t
+GpuSystem::routeFromCore(CoreId core, mem::MemRequest &req) const
+{
+    if (org_) {
+        req.homeNode = org_->homeNode(core, req.addr);
+        return req.homeNode;
+    }
+    req.slice = addrMap_.slice(req.addr);
+    return req.slice;
+}
+
+void
+GpuSystem::tickNodes()
+{
+    DCL1_PROF_SCOPE(Node);
+    noc::Network &mem_req = memReq();
+    noc::Network &core_reply = coreReply();
+    for (NodeId n = 0; n < nodes_.size(); ++n) {
         DcL1Node &node = *nodes_[n];
         node.tick(cycle_);
 
-        const std::uint32_t z = org_->clusterOfNode(n);
-        const std::uint32_t local = n % m;
-
-        // Q3 -> NoC#2 request side.
-        {
-            const std::uint32_t g = partitioned ? local : 0;
-            const std::uint32_t in = partitioned ? z : n;
-            noc::Crossbar &xbar = *noc2Req_[g];
-            while (node.hasToMem() && xbar.canInject(in)) {
-                auto req = node.takeToMem();
-                ++dbgNodeToMem;
-                (*req)->slice = addrMap_.slice((*req)->addr);
-                stats::tlmEnter((*req)->tlm, stats::Seg::NocReq, cycle_);
-                noc::Packet pkt;
-                pkt.src = in;
-                pkt.dst = partitioned ? (*req)->slice / m : (*req)->slice;
-                pkt.flits = noc::flitsFor(**req, sys_.flitBytes);
-                pkt.req = std::move(*req);
-                xbar.inject(std::move(pkt));
-            }
-        }
-
-        // Q2 -> NoC#1 reply side.
-        {
-            noc::Crossbar &xbar = *noc1Reply_[z];
-            while (node.hasToCore() && xbar.canInject(local)) {
-                auto reply = node.takeToCore();
-                stats::tlmEnter((*reply)->tlm, stats::Seg::NocReply,
-                                cycle_);
-                noc::Packet pkt;
-                pkt.src = local;
-                pkt.dst = (*reply)->core % n_per;
-                pkt.flits = noc::flitsFor(**reply, sys_.flitBytes);
-                pkt.req = std::move(*reply);
-                xbar.inject(std::move(pkt));
-            }
-        }
-    }
-
-    node_scope.stop();
-
-    // Cores inject into NoC#1 request side, then tick.
-    DCL1_PROF_SCOPE(Core);
-    for (CoreId c = 0; c < sys_.numCores; ++c) {
-        const std::uint32_t z = org_->clusterOfCore(c);
-        const std::uint32_t local = c % n_per;
-        noc::Crossbar &xbar = *noc1Req_[z];
-        while (cores_[c]->hasOutbound() && xbar.canInject(local)) {
-            auto req = cores_[c]->takeOutbound();
-            const NodeId home = org_->homeNode(c, (*req)->addr);
-            (*req)->homeNode = home;
+        // Q3 -> memory-side request network.
+        while (node.hasToMem() && mem_req.canInject(n)) {
+            auto req = node.takeToMem();
+            const SliceId slice = addrMap_.slice((*req)->addr);
+            (*req)->slice = slice;
             stats::tlmEnter((*req)->tlm, stats::Seg::NocReq, cycle_);
-            noc::Packet pkt;
-            pkt.src = local;
-            pkt.dst = home % m;
-            pkt.flits = noc::flitsFor(**req, sys_.flitBytes);
-            pkt.req = std::move(*req);
-            xbar.inject(std::move(pkt));
+            mem_req.inject(n, slice, std::move(*req));
         }
-        cores_[c]->tick(cycle_);
+
+        // Q2 -> core-side reply network.
+        while (node.hasToCore() && core_reply.canInject(n)) {
+            auto reply = node.takeToCore();
+            const CoreId core = (*reply)->core;
+            stats::tlmEnter((*reply)->tlm, stats::Seg::NocReply, cycle_);
+            core_reply.inject(n, core, std::move(*reply));
+        }
     }
 }
 
@@ -717,25 +486,8 @@ GpuSystem::resetStats()
     for (auto &ch : channels_)
         ch->statGroup().reset();
     tracker_->resetStats();
-
-    auto reset_xbar = [](std::unique_ptr<noc::Crossbar> &x) {
-        if (x)
-            x->resetStats();
-    };
-    reset_xbar(mainReq_);
-    reset_xbar(mainReply_);
-    for (auto &x : noc1Req_)
-        x->resetStats();
-    for (auto &x : noc1Reply_)
-        x->resetStats();
-    for (auto &x : noc2Req_)
-        x->resetStats();
-    for (auto &x : noc2Reply_)
-        x->resetStats();
-    if (cdxReq_)
-        cdxReq_->resetStats();
-    if (cdxReply_)
-        cdxReply_->resetStats();
+    for (auto &net : nets_)
+        net->resetStats();
     if (tlm_)
         tlm_->reset();
 
@@ -761,34 +513,15 @@ GpuSystem::busy()
     for (auto &ch : channels_)
         if (ch->busy())
             return true;
-    auto xbar_busy = [](std::unique_ptr<noc::Crossbar> &x) {
-        return x && x->busy();
-    };
-    if (xbar_busy(mainReq_) || xbar_busy(mainReply_))
-        return true;
-    for (auto &x : noc1Req_)
-        if (x->busy())
+    for (auto &net : nets_)
+        if (net->busy())
             return true;
-    for (auto &x : noc1Reply_)
-        if (x->busy())
-            return true;
-    for (auto &x : noc2Req_)
-        if (x->busy())
-            return true;
-    for (auto &x : noc2Reply_)
-        if (x->busy())
-            return true;
-    if (cdxReq_ && cdxReq_->busy())
-        return true;
-    if (cdxReply_ && cdxReply_->busy())
-        return true;
     return false;
 }
 
 bool
 GpuSystem::drain(Cycle max_cycles)
 {
-    draining_ = true;
     DCL1_PROF_SCOPE(Drain);
     for (auto &core : cores_)
         core->setIssueEnabled(false);
@@ -799,7 +532,6 @@ GpuSystem::drain(Cycle max_cycles)
     }
     for (auto &core : cores_)
         core->setIssueEnabled(true);
-    draining_ = false;
     const bool drained = !busy();
     if (drained) {
         // With the machine empty, every registered request must have
@@ -847,23 +579,9 @@ GpuSystem::checkInvariants(const char *where)
               static_cast<unsigned long long>(occupancy));
 
     // NoC internal bookkeeping (crossbars also self-audit on their own
-    // NoC-cycle cadence; this forces a full sweep now).
-    if (mainReq_)
-        mainReq_->checkInvariants();
-    if (mainReply_)
-        mainReply_->checkInvariants();
-    for (const auto &x : noc1Req_)
-        x->checkInvariants();
-    for (const auto &x : noc1Reply_)
-        x->checkInvariants();
-    for (const auto &x : noc2Req_)
-        x->checkInvariants();
-    for (const auto &x : noc2Reply_)
-        x->checkInvariants();
-    if (cdxReq_)
-        cdxReq_->checkInvariants();
-    if (cdxReply_)
-        cdxReply_->checkInvariants();
+    // NoC-cycle cadence; this forces a sweep now).
+    for (const auto &net : nets_)
+        net->checkInvariants();
 #else
     (void)where;
 #endif // DCL1_CHECK_ENABLED
@@ -881,20 +599,8 @@ GpuSystem::addStatChildren(stats::StatGroup &root)
     for (auto &ch : channels_)
         root.addChild(&ch->statGroup());
     root.addChild(&tracker_->statGroup());
-    auto add_xbar = [&](std::unique_ptr<noc::Crossbar> &x) {
-        if (x)
-            root.addChild(&x->statGroup());
-    };
-    add_xbar(mainReq_);
-    add_xbar(mainReply_);
-    for (auto &x : noc1Req_)
-        root.addChild(&x->statGroup());
-    for (auto &x : noc1Reply_)
-        root.addChild(&x->statGroup());
-    for (auto &x : noc2Req_)
-        root.addChild(&x->statGroup());
-    for (auto &x : noc2Reply_)
-        root.addChild(&x->statGroup());
+    for (auto &net : nets_)
+        net->addStatChildren(root);
     if (tlm_)
         root.addChild(&tlm_->statGroup());
 }
@@ -990,45 +696,21 @@ GpuSystem::registerTimelineProbes()
             return sum;
         });
 
-    switch (design_.topology) {
-      case Topology::PrivateBaseline:
-        tl.addPerCycle("noc2_flits", [this] {
-            return mainReq_->totalFlits() + mainReply_->totalFlits();
+    auto level_flits = [this](std::uint32_t level) {
+        std::uint64_t sum = 0;
+        forEachXbar([&](noc::Crossbar &x) {
+            if (x.params().level == level)
+                sum += x.totalFlits();
         });
-        break;
-      case Topology::CdXbar:
-        tl.addPerCycle("noc1_flits", [this] {
-            std::uint64_t sum = 0;
-            for (auto &x : cdxReq_->localXbars())
-                sum += x->totalFlits();
-            for (auto &x : cdxReply_->localXbars())
-                sum += x->totalFlits();
-            return sum;
-        });
-        tl.addPerCycle("noc2_flits", [this] {
-            return cdxReq_->globalXbar().totalFlits() +
-                   cdxReply_->globalXbar().totalFlits();
-        });
-        break;
-      case Topology::DcL1:
-        tl.addPerCycle("noc1_flits", [this] {
-            std::uint64_t sum = 0;
-            for (auto &x : noc1Req_)
-                sum += x->totalFlits();
-            for (auto &x : noc1Reply_)
-                sum += x->totalFlits();
-            return sum;
-        });
-        tl.addPerCycle("noc2_flits", [this] {
-            std::uint64_t sum = 0;
-            for (auto &x : noc2Req_)
-                sum += x->totalFlits();
-            for (auto &x : noc2Reply_)
-                sum += x->totalFlits();
-            return sum;
-        });
-        break;
-    }
+        return sum;
+    };
+    bool has_noc1 = false;
+    forEachXbar([&](noc::Crossbar &x) {
+        has_noc1 = has_noc1 || x.params().level == 1;
+    });
+    if (has_noc1)
+        tl.addPerCycle("noc1_flits", [level_flits] { return level_flits(1); });
+    tl.addPerCycle("noc2_flits", [level_flits] { return level_flits(2); });
 
     auto mshr_in_use = [this, dcl1] {
         std::size_t sum = 0;
@@ -1176,50 +858,31 @@ GpuSystem::metrics()
     }
     rm.avgReadLatency = lat_cnt ? double(lat_sum) / double(lat_cnt) : 0.0;
 
-    // NoC link utilizations and flit activity.
-    auto max_out_util = [](const noc::Crossbar &x) {
+    // NoC flit activity by level, and reply-link utilizations.
+    bool has_noc1 = false;
+    forEachXbar([&](noc::Crossbar &x) {
+        if (x.params().level == 1) {
+            has_noc1 = true;
+            rm.noc1Flits += x.totalFlits();
+        } else {
+            rm.noc2Flits += x.totalFlits();
+        }
+    });
+    auto max_out_util = [](noc::Network &net, std::uint32_t level) {
         double best = 0.0;
-        for (std::uint32_t o = 0; o < x.params().numOutputs; ++o)
-            best = std::max(best, x.outputUtilization(o));
+        for (const auto &x : net.xbars()) {
+            if (x->params().level != level)
+                continue;
+            for (std::uint32_t o = 0; o < x->params().numOutputs; ++o)
+                best = std::max(best, x->outputUtilization(o));
+        }
         return best;
     };
-    if (design_.topology == Topology::DcL1) {
-        for (const auto &x : noc1Reply_) {
-            rm.maxCoreReplyLinkUtil =
-                std::max(rm.maxCoreReplyLinkUtil, max_out_util(*x));
-        }
-        for (const auto &x : noc2Reply_) {
-            rm.maxMemReplyLinkUtil =
-                std::max(rm.maxMemReplyLinkUtil, max_out_util(*x));
-        }
-        for (const auto &x : noc1Req_)
-            rm.noc1Flits += x->totalFlits();
-        for (const auto &x : noc1Reply_)
-            rm.noc1Flits += x->totalFlits();
-        for (const auto &x : noc2Req_)
-            rm.noc2Flits += x->totalFlits();
-        for (const auto &x : noc2Reply_)
-            rm.noc2Flits += x->totalFlits();
-    } else if (design_.topology == Topology::PrivateBaseline) {
-        rm.maxCoreReplyLinkUtil = max_out_util(*mainReply_);
-        rm.maxMemReplyLinkUtil = rm.maxCoreReplyLinkUtil;
-        rm.noc2Flits =
-            mainReq_->totalFlits() + mainReply_->totalFlits();
-    } else {
-        rm.maxCoreReplyLinkUtil = 0.0;
-        for (auto &x : cdxReply_->localXbars()) {
-            rm.maxCoreReplyLinkUtil =
-                std::max(rm.maxCoreReplyLinkUtil, max_out_util(*x));
-        }
-        rm.maxMemReplyLinkUtil =
-            max_out_util(cdxReply_->globalXbar());
-        for (auto &x : cdxReq_->localXbars())
-            rm.noc1Flits += x->totalFlits();
-        for (auto &x : cdxReply_->localXbars())
-            rm.noc1Flits += x->totalFlits();
-        rm.noc2Flits = cdxReq_->globalXbar().totalFlits() +
-                       cdxReply_->globalXbar().totalFlits();
-    }
+    rm.maxMemReplyLinkUtil = max_out_util(memReply(), 2);
+    // Without a level-1 stage (Baseline) the one reply hop out of L2
+    // is also the hop into the cores.
+    rm.maxCoreReplyLinkUtil = has_noc1 ? max_out_util(coreReply(), 1)
+                                       : rm.maxMemReplyLinkUtil;
 
     for (const auto &slice : slices_) {
         rm.l2Accesses += slice->bank().accesses();

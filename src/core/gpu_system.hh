@@ -3,13 +3,19 @@
  * GpuSystem: the fully wired simulated GPU for one (platform, design,
  * workload) triple, plus the cycle loop and metric extraction.
  *
- * Topologies:
- *  - PrivateBaseline: cores-with-L1 <-> 80x32 request/reply crossbars
- *    <-> L2 slices <-> DRAM channels.
- *  - CdXbar: same cores, hierarchical two-stage crossbars.
+ * Every topology is cores, a list of endpoint-addressed networks
+ * (noc::Network), L2 slices and DRAM channels:
+ *  - PrivateBaseline: cores-with-L1 <-> one 80x32 request/reply
+ *    crossbar pair <-> L2 slices.
+ *  - CdXbar: the same, through hierarchical two-stage crossbars.
  *  - DcL1: lite cores <-> NoC#1 (Z crossbars of N x M) <-> DC-L1 nodes
  *    <-> NoC#2 (M crossbars of Z x L/M, or one full Y x L crossbar)
- *    <-> L2 slices <-> DRAM.
+ *    <-> L2 slices.
+ * The network list holds a request/reply pair per side of the node
+ * stage; without DC-L1 nodes the core side and the memory side are the
+ * same pair. One tick path drives all three: memory, L2 replies into
+ * the memory-side reply network, every network, deliveries, the DC-L1
+ * nodes (when the design has them), cores.
  */
 
 #ifndef DCL1_CORE_GPU_SYSTEM_HH
@@ -30,8 +36,8 @@
 #include "mem/dram.hh"
 #include "mem/l2_slice.hh"
 #include "mem/replication_tracker.hh"
-#include "noc/cdxbar.hh"
 #include "noc/crossbar.hh"
+#include "noc/network.hh"
 #include "stats/latency_attr.hh"
 #include "stats/timeline.hh"
 #include "stats/trace_export.hh"
@@ -225,35 +231,68 @@ class GpuSystem
     {
         return channels_;
     }
+    /** Every network, in tick order (see nets_). */
+    std::vector<std::unique_ptr<noc::Network>> &networks() { return nets_; }
+
+    /// @name DC-L1 NoC crossbars (empty on other topologies)
+    /// @{
     std::vector<std::unique_ptr<noc::Crossbar>> &noc1ReqXbars()
     {
-        return noc1Req_;
+        return dcl1Xbars(0);
     }
     std::vector<std::unique_ptr<noc::Crossbar>> &noc1ReplyXbars()
     {
-        return noc1Reply_;
+        return dcl1Xbars(1);
     }
     std::vector<std::unique_ptr<noc::Crossbar>> &noc2ReqXbars()
     {
-        return noc2Req_;
+        return dcl1Xbars(2);
     }
     std::vector<std::unique_ptr<noc::Crossbar>> &noc2ReplyXbars()
     {
-        return noc2Reply_;
+        return dcl1Xbars(3);
     }
+    /// @}
 
   private:
     /** @p app may be null: no built-in source, cores start idle. */
-    void buildCommon(const workload::WorkloadParams *app,
-                     std::unique_ptr<workload::TraceSource> source);
-    void buildBaseline();
-    void buildCdx();
-    void buildDcl1();
+    void build(const workload::WorkloadParams *app,
+               std::unique_ptr<workload::TraceSource> source);
+    void buildNetworks();
 
     void tickMemory();
-    void tickBaseline();
-    void tickCdx();
-    void tickDcl1();
+    void tickNodes();
+
+    /**
+     * Address a request leaving core @p core: its home DC-L1 node, or
+     * its L2 slice when the design has no nodes. Records the choice in
+     * the request and returns the destination endpoint.
+     */
+    std::uint32_t routeFromCore(CoreId core, mem::MemRequest &req) const;
+
+    /// @name Roles in nets_
+    /// @{
+    noc::Network &coreReq() { return *nets_[0]; }
+    noc::Network &coreReply() { return *nets_[1]; }
+    noc::Network &memReq() { return *nets_[nets_.size() - 2]; }
+    noc::Network &memReply() { return *nets_.back(); }
+    /// @}
+
+    std::vector<std::unique_ptr<noc::Crossbar>> &
+    dcl1Xbars(std::size_t net)
+    {
+        return nodes_.empty() ? noXbars_ : nets_[net]->xbars();
+    }
+
+    /** Visit every crossbar of every network. */
+    template <typename Fn>
+    void
+    forEachXbar(Fn &&fn)
+    {
+        for (auto &net : nets_)
+            for (auto &x : net->xbars())
+                fn(*x);
+    }
 
     /**
      * Host-profiler bookkeeping (called only while prof::active()):
@@ -282,25 +321,14 @@ class GpuSystem
     std::vector<std::unique_ptr<mem::L2Slice>> slices_;
     std::vector<std::unique_ptr<mem::DramChannel>> channels_;
 
-    /// @name Baseline / monolithic NoC
-    /// @{
-    std::unique_ptr<noc::Crossbar> mainReq_;
-    std::unique_ptr<noc::Crossbar> mainReply_;
-    /// @}
-
-    /// @name CdXbar NoC
-    /// @{
-    std::unique_ptr<noc::CdXbarNet> cdxReq_;
-    std::unique_ptr<noc::CdXbarNet> cdxReply_;
-    /// @}
-
-    /// @name DC-L1 NoCs
-    /// @{
-    std::vector<std::unique_ptr<noc::Crossbar>> noc1Req_;   ///< per Z
-    std::vector<std::unique_ptr<noc::Crossbar>> noc1Reply_; ///< per Z
-    std::vector<std::unique_ptr<noc::Crossbar>> noc2Req_;   ///< per M|1
-    std::vector<std::unique_ptr<noc::Crossbar>> noc2Reply_;
-    /// @}
+    /**
+     * Every network, in tick and stat-tree order: the core side's
+     * request and reply networks, then (DC-L1 designs only) the memory
+     * side's. Endpoints are cores, DC-L1 nodes and L2 slices by index.
+     */
+    std::vector<std::unique_ptr<noc::Network>> nets_;
+    /** Always empty: the DC-L1 crossbar accessors on other designs. */
+    std::vector<std::unique_ptr<noc::Crossbar>> noXbars_;
 
     std::unique_ptr<stats::TimelineSampler> timeline_;
     std::unique_ptr<stats::LatencyAttribution> tlm_;
@@ -308,16 +336,6 @@ class GpuSystem
 
     Cycle cycle_ = 0;
     Cycle statStart_ = 0;
-    bool draining_ = false;
-
-  public:
-    /// @name Debug hop counters (tickDcl1)
-    /// @{
-    std::uint64_t dbgNodeToMem = 0;   ///< Q3 -> NoC#2 injections
-    std::uint64_t dbgMemEject = 0;    ///< NoC#2 -> L2 ejections
-    std::uint64_t dbgL2Replies = 0;   ///< L2 -> NoC#2 reply injections
-    std::uint64_t dbgNodeFromMem = 0; ///< NoC#2 -> Q4 ejections
-    /// @}
 };
 
 } // namespace dcl1::core

@@ -62,9 +62,6 @@ struct SystemConfig
     gpucore::WarpSched warpScheduler =
         gpucore::WarpSched::LooseRoundRobin;
 
-    /** Baseline NoC clock as a fraction of the core clock (700 MHz). */
-    double nocClockRatio = 0.5;
-
     /** DC-L1 node queue depth (Q1..Q4; paper: four 128 B entries). */
     std::uint32_t nodeQueueCap = 4;
 

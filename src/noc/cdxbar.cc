@@ -24,7 +24,8 @@ CdXbarNet::CdXbarNet(const CdxParams &params) : params_(params)
         xp.outputQueueCap = params.outputQueueCap;
         xp.routerLatency = params.routerLatency;
         xp.clockRatio = params.localClockRatio;
-        locals_.push_back(std::make_unique<Crossbar>(xp));
+        xp.level = 1;
+        xbars_.push_back(std::make_unique<Crossbar>(xp));
     }
 
     XbarParams gp;
@@ -36,7 +37,7 @@ CdXbarNet::CdXbarNet(const CdxParams &params) : params_(params)
     gp.outputQueueCap = params.outputQueueCap;
     gp.routerLatency = params.routerLatency;
     gp.clockRatio = params.globalClockRatio;
-    global_ = std::make_unique<Crossbar>(gp);
+    xbars_.push_back(std::make_unique<Crossbar>(gp));
 }
 
 std::uint32_t
@@ -49,18 +50,18 @@ bool
 CdXbarNet::canInject(std::uint32_t src) const
 {
     if (params_.direction == CdxDirection::Concentrate) {
-        return locals_[src / params_.perCluster]->canInject(
+        return xbars_[src / params_.perCluster]->canInject(
             src % params_.perCluster);
     }
-    return global_->canInject(src);
+    return global().canInject(src);
 }
 
 void
 CdXbarNet::inject(std::uint32_t src, std::uint32_t dst,
-                  mem::MemRequestPtr req, std::uint32_t flits)
+                  mem::MemRequestPtr req)
 {
     Packet pkt;
-    pkt.flits = flits;
+    pkt.flits = flitsFor(*req, params_.flitBytes);
     pkt.endpoint = dst;
     pkt.req = std::move(req);
     DCL1_CHECK_ONLY(++chkInjectedPkts_);
@@ -70,7 +71,7 @@ CdXbarNet::inject(std::uint32_t src, std::uint32_t dst,
         // traffic to different slices spreads over the K trunks.
         pkt.src = src % params_.perCluster;
         pkt.dst = dst % params_.trunksPerCluster;
-        locals_[src / params_.perCluster]->inject(std::move(pkt));
+        local(src / params_.perCluster).inject(std::move(pkt));
     } else {
         // Slice -> global crossbar; trunk of the destination cluster
         // chosen by destination index for spread.
@@ -78,7 +79,7 @@ CdXbarNet::inject(std::uint32_t src, std::uint32_t dst,
         pkt.src = src;
         pkt.dst = cluster * params_.trunksPerCluster +
                   (dst % params_.trunksPerCluster);
-        global_->inject(std::move(pkt));
+        global().inject(std::move(pkt));
     }
 }
 
@@ -87,9 +88,9 @@ CdXbarNet::eject(std::uint32_t dst)
 {
     std::optional<Packet> pkt;
     if (params_.direction == CdxDirection::Concentrate)
-        pkt = global_->eject(dst);
+        pkt = global().eject(dst);
     else
-        pkt = locals_[dst / params_.perCluster]->eject(
+        pkt = local(dst / params_.perCluster).eject(
             dst % params_.perCluster);
     if (!pkt)
         return std::nullopt;
@@ -100,9 +101,8 @@ CdXbarNet::eject(std::uint32_t dst)
 void
 CdXbarNet::tick()
 {
-    for (auto &local : locals_)
-        local->tick();
-    global_->tick();
+    for (auto &x : xbars_)
+        x->tick();
 
 #if DCL1_CHECK_ENABLED
     if ((++tickCount_ & 63) == 0)
@@ -116,12 +116,12 @@ CdXbarNet::tick()
             for (std::uint32_t k = 0; k < params_.trunksPerCluster; ++k) {
                 const std::uint32_t trunk =
                     z * params_.trunksPerCluster + k;
-                while (locals_[z]->hasEjectable(k) &&
-                       global_->canInject(trunk)) {
-                    Packet pkt = *locals_[z]->eject(k);
+                while (local(z).hasEjectable(k) &&
+                       global().canInject(trunk)) {
+                    Packet pkt = *local(z).eject(k);
                     pkt.src = trunk;
                     pkt.dst = pkt.endpoint;
-                    global_->inject(std::move(pkt));
+                    global().inject(std::move(pkt));
                 }
             }
         }
@@ -130,35 +130,24 @@ CdXbarNet::tick()
             for (std::uint32_t k = 0; k < params_.trunksPerCluster; ++k) {
                 const std::uint32_t trunk =
                     z * params_.trunksPerCluster + k;
-                while (global_->hasEjectable(trunk) &&
-                       locals_[z]->canInject(k)) {
-                    Packet pkt = *global_->eject(trunk);
+                while (global().hasEjectable(trunk) &&
+                       local(z).canInject(k)) {
+                    Packet pkt = *global().eject(trunk);
                     pkt.src = k;
                     pkt.dst = pkt.endpoint % params_.perCluster;
-                    locals_[z]->inject(std::move(pkt));
+                    local(z).inject(std::move(pkt));
                 }
             }
         }
     }
 }
 
-bool
-CdXbarNet::busy() const
-{
-    if (global_->busy())
-        return true;
-    for (const auto &local : locals_)
-        if (local->busy())
-            return true;
-    return false;
-}
-
 std::size_t
 CdXbarNet::pendingPackets() const
 {
-    std::size_t pending = global_->pendingPackets();
-    for (const auto &local : locals_)
-        pending += local->pendingPackets();
+    std::size_t pending = 0;
+    for (const auto &x : xbars_)
+        pending += x->pendingPackets();
     return pending;
 }
 
@@ -174,14 +163,6 @@ CdXbarNet::checkInvariants() const
               static_cast<unsigned long long>(chkInjectedPkts_),
               static_cast<unsigned long long>(chkEjectedPkts_), inside);
 #endif // DCL1_CHECK_ENABLED
-}
-
-void
-CdXbarNet::resetStats()
-{
-    global_->resetStats();
-    for (auto &local : locals_)
-        local->resetStats();
 }
 
 } // namespace dcl1::noc

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "noc/crossbar.hh"
+#include "noc/network.hh"
 #include "noc/packet.hh"
 
 namespace dcl1::noc
@@ -42,10 +43,14 @@ struct CdxParams
     std::uint32_t inputQueueCap = 16;
     std::uint32_t outputQueueCap = 4;
     std::uint32_t routerLatency = 2;
+    std::uint32_t flitBytes = defaultFlitBytes;
 };
 
-/** See file comment. */
-class CdXbarNet
+/**
+ * See file comment. The local crossbars are NoC level 1, the global
+ * one level 2; xbars() lists the Z locals, then the global crossbar.
+ */
+class CdXbarNet final : public Network
 {
   public:
     explicit CdXbarNet(const CdxParams &params);
@@ -59,25 +64,26 @@ class CdXbarNet
      * Can endpoint @p src inject? For Concentrate, src is a near-side
      * (core) index; for Distribute a far-side (slice) index.
      */
-    bool canInject(std::uint32_t src) const;
+    bool canInject(std::uint32_t src) const override;
 
     /** Inject a request/reply from @p src to @p dst. */
     void inject(std::uint32_t src, std::uint32_t dst,
-                mem::MemRequestPtr req, std::uint32_t flits);
+                mem::MemRequestPtr req) override;
 
     /** Pop a delivered packet at destination endpoint @p dst. */
-    std::optional<mem::MemRequestPtr> eject(std::uint32_t dst);
+    std::optional<mem::MemRequestPtr> eject(std::uint32_t dst) override;
 
     /** Advance one core cycle (both stages + inter-stage glue). */
-    void tick();
+    void tick() override;
 
-    bool busy() const;
+    /**
+     * Adds nothing: adding CDXBar's crossbars to the stat tree would
+     * change the stat digest of every pinned CDXBar result, so it
+     * waits for a change that re-pins them.
+     */
+    void addStatChildren(stats::StatGroup &) override {}
 
     const CdxParams &params() const { return params_; }
-    Crossbar &globalXbar() { return *global_; }
-    std::vector<std::unique_ptr<Crossbar>> &localXbars() { return locals_; }
-
-    void resetStats();
 
     /** Packets buffered or in flight anywhere in either stage. */
     std::size_t pendingPackets() const;
@@ -89,12 +95,14 @@ class CdXbarNet
      * panic()s on violation. Each member crossbar additionally runs
      * its own internal audit on its own cadence.
      */
-    void checkInvariants() const;
+    void checkInvariants() const override;
 
   private:
+    Crossbar &local(std::uint32_t z) { return *xbars_[z]; }
+    Crossbar &global() { return *xbars_.back(); }
+    const Crossbar &global() const { return *xbars_.back(); }
+
     CdxParams params_;
-    std::vector<std::unique_ptr<Crossbar>> locals_; ///< Z local xbars
-    std::unique_ptr<Crossbar> global_;
 
     Cycle tickCount_ = 0;
 

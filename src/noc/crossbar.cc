@@ -38,12 +38,6 @@ Crossbar::Crossbar(const XbarParams &params)
     statGroup_.addScalar("latency_sum", &latencySum_);
 }
 
-bool
-Crossbar::canInject(std::uint32_t input) const
-{
-    return inputOcc_[input] < params_.inputQueueCap;
-}
-
 void
 Crossbar::inject(Packet pkt)
 {
@@ -82,12 +76,6 @@ Crossbar::eject(std::uint32_t output)
     q.pop_front();
     DCL1_CHECK_ONLY(++chkEjectedPkts_);
     return pkt;
-}
-
-bool
-Crossbar::hasEjectable(std::uint32_t output) const
-{
-    return !outQ_[output].empty();
 }
 
 void

@@ -39,6 +39,9 @@ struct XbarParams
     std::uint32_t outputQueueCap = 4; ///< packets buffered per output
     std::uint32_t routerLatency = 2;  ///< pipeline depth, NoC cycles
     double clockRatio = 0.5;          ///< NoC cycles per core cycle
+    /** NoC level, as the power model counts it: 1 = core side (NoC#1,
+     *  CDXBar's local stage), 2 = memory side. The switch ignores it. */
+    std::uint32_t level = 2;
 };
 
 /** See file comment. */
@@ -48,7 +51,11 @@ class Crossbar
     explicit Crossbar(const XbarParams &params);
 
     /** Room for another packet at @p input? */
-    bool canInject(std::uint32_t input) const;
+    bool
+    canInject(std::uint32_t input) const
+    {
+        return inputOcc_[input] < params_.inputQueueCap;
+    }
 
     /** Inject @p pkt (pkt.src/pkt.dst must be set; checked). */
     void inject(Packet pkt);
@@ -57,7 +64,11 @@ class Crossbar
     std::optional<Packet> eject(std::uint32_t output);
 
     /** Peek whether @p output has a delivered packet. */
-    bool hasEjectable(std::uint32_t output) const;
+    bool
+    hasEjectable(std::uint32_t output) const
+    {
+        return !outQ_[output].empty();
+    }
 
     /** Advance one *core* cycle (internally ticks on the clock ratio). */
     void tick();

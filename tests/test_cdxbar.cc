@@ -47,7 +47,7 @@ TEST(CdXbar, ConcentrateDelivers)
 {
     CdXbarNet net(params(CdxDirection::Concentrate));
     ASSERT_TRUE(net.canInject(5));
-    net.inject(5, 3, tagged(42), 1);
+    net.inject(5, 3, tagged(42));
     mem::MemRequestPtr got;
     for (int t = 0; t < 50 && !got; ++t) {
         net.tick();
@@ -62,7 +62,9 @@ TEST(CdXbar, DistributeDelivers)
 {
     CdXbarNet net(params(CdxDirection::Distribute));
     ASSERT_TRUE(net.canInject(2));
-    net.inject(2, 17, tagged(9), 4);
+    auto reply = tagged(9);
+    reply->payloadBytes = 128; // a full line: four 32 B flits
+    net.inject(2, 17, std::move(reply));
     mem::MemRequestPtr got;
     for (int t = 0; t < 50 && !got; ++t) {
         net.tick();
@@ -83,7 +85,7 @@ TEST(CdXbar, AllPairsEventuallyDeliver)
             // Inject lazily while ticking to respect backpressure.
             while (!net.canInject(src))
                 net.tick();
-            net.inject(src, dst, tagged(src * 100 + dst), 1);
+            net.inject(src, dst, tagged(src * 100 + dst));
             ++sent;
             net.tick();
             for (std::uint32_t d = 0; d < net.numFar(); ++d)
@@ -120,8 +122,7 @@ TEST(CdXbar, SlowLocalStageLimitsThroughput)
         for (int t = 0; t < 3000; ++t) {
             for (std::uint32_t s = 0; s < net.numNear(); ++s)
                 if (net.canInject(s))
-                    net.inject(s, std::uint32_t(rng.below(8)),
-                               tagged(s), 1);
+                    net.inject(s, std::uint32_t(rng.below(8)), tagged(s));
             net.tick();
             for (std::uint32_t d = 0; d < net.numFar(); ++d)
                 while (net.eject(d))

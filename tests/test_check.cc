@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "check/check.hh"
 #include "exec/determinism.hh"
 #include "check/request_ledger.hh"
@@ -14,6 +16,22 @@
 #include "core/gpu_system.hh"
 #include "mem/queues.hh"
 #include "mem/request.hh"
+
+namespace dcl1::core
+{
+
+/**
+ * Print a design by its name in test listings. Without this, gtest
+ * dumps the raw bytes of the struct, which include heap addresses, so
+ * the listed test names would change from one process to the next.
+ */
+void
+PrintTo(const DesignConfig &d, std::ostream *os)
+{
+    *os << '"' << d.name << '"';
+}
+
+} // namespace dcl1::core
 
 namespace
 {

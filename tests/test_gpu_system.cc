@@ -2,12 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <ostream>
 #include <sstream>
+#include <tuple>
 
 #include "core/experiment.hh"
 #include "core/gpu_system.hh"
 #include "workload/app_catalog.hh"
 #include "workload/trace_file.hh"
+
+namespace dcl1::core
+{
+
+/**
+ * Print a design by its name in test listings. Without this, gtest
+ * dumps the raw bytes of the struct, which include heap addresses, so
+ * the listed test names would change from one process to the next.
+ */
+void
+PrintTo(const DesignConfig &d, std::ostream *os)
+{
+    *os << '"' << d.name << '"';
+}
+
+} // namespace dcl1::core
 
 namespace
 {
@@ -284,6 +303,65 @@ TEST(GpuSystem, MetricsAfterResetCoverOnlyInterval)
     gpu.run(2000, 2000);
     const RunMetrics rm = gpu.metrics();
     EXPECT_EQ(rm.cycles, 2000u);
+}
+
+/** Crossbar count per (inputs, outputs, clock ratio, NoC level). */
+using XbarCensus =
+    std::map<std::tuple<std::uint32_t, std::uint32_t, double, std::uint32_t>,
+             std::uint32_t>;
+
+class SimulatedNocTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+/**
+ * The network a design simulates is the network the power model costs
+ * (fig06/fig12/fig18 read crossbarInventory()).
+ */
+TEST_P(SimulatedNocTest, MatchesPowerInventory)
+{
+    const SystemConfig sys;
+    const DesignConfig design = designByName(GetParam());
+    GpuSystem gpu(sys, design);
+
+    XbarCensus simulated;
+    for (auto &net : gpu.networks()) {
+        for (auto &x : net->xbars()) {
+            const noc::XbarParams &p = x->params();
+            ++simulated[{p.numInputs, p.numOutputs, p.clockRatio, p.level}];
+        }
+    }
+    XbarCensus costed;
+    for (const XbarGeometry &g : crossbarInventory(design, sys))
+        costed[{g.numInputs, g.numOutputs, g.clockRatio, g.level}] += g.count;
+    EXPECT_EQ(simulated, costed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, SimulatedNocTest,
+    ::testing::Values("Baseline", "CDXBar", "CDXBar+2xNoC", "Pr80", "Pr40",
+                      "Sh40", "Sh40+C10", "Sh40+C10+Boost"),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string name = info.param;
+        for (char &c : name)
+            if (!isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name;
+    });
+
+TEST(GpuSystem, DcL1CrossbarAccessorsEmptyWithoutNodes)
+{
+    for (const char *name : {"Baseline", "CDXBar"}) {
+        GpuSystem gpu(SystemConfig(), designByName(name));
+        EXPECT_TRUE(gpu.noc1ReqXbars().empty()) << name;
+        EXPECT_TRUE(gpu.noc1ReplyXbars().empty()) << name;
+        EXPECT_TRUE(gpu.noc2ReqXbars().empty()) << name;
+        EXPECT_TRUE(gpu.noc2ReplyXbars().empty()) << name;
+    }
+    GpuSystem gpu(SystemConfig(), designByName("Sh40+C10"));
+    EXPECT_EQ(gpu.noc1ReqXbars().size(), 10u);
+    EXPECT_EQ(gpu.noc2ReplyXbars().size(), 4u);
+    EXPECT_EQ(gpu.noc2ReplyXbars()[3]->params().name, "noc2.reply3");
 }
 
 } // anonymous namespace
