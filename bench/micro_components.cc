@@ -47,33 +47,42 @@ BM_CacheBankAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheBankAccess);
 
+/** One NoC tick of an inputs x outputs crossbar under 10 % uniform
+ *  single-flit load; Args are {inputs, outputs}. */
 void
-BM_CrossbarTick80x32(benchmark::State &state)
+BM_CrossbarTick(benchmark::State &state)
 {
+    const auto ins = std::uint32_t(state.range(0));
+    const auto outs = std::uint32_t(state.range(1));
     noc::XbarParams p;
-    p.numInputs = 80;
-    p.numOutputs = 32;
+    p.numInputs = ins;
+    p.numOutputs = outs;
     p.clockRatio = 1.0;
     noc::Crossbar x(p);
     Rng rng(2);
     for (auto _ : state) {
-        for (std::uint32_t in = 0; in < 80; ++in) {
+        for (std::uint32_t in = 0; in < ins; ++in) {
             if (rng.chance(0.1) && x.canInject(in)) {
                 noc::Packet pkt;
                 pkt.src = in;
-                pkt.dst = std::uint32_t(rng.below(32));
+                pkt.dst = std::uint32_t(rng.below(outs));
                 pkt.flits = 1;
                 x.inject(std::move(pkt));
             }
         }
         x.tick();
-        for (std::uint32_t out = 0; out < 32; ++out)
-            while (x.eject(out)) {
-            }
+        for (std::uint32_t out = 0; out < outs; ++out)
+            while (auto pkt = x.eject(out))
+                benchmark::DoNotOptimize(pkt);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CrossbarTick80x32);
+BENCHMARK(BM_CrossbarTick)
+    ->ArgNames({"in", "out"})
+    ->Args({80, 32})
+    ->Args({80, 40})
+    ->Args({40, 80})
+    ->Args({8, 4});
 
 void
 BM_DramChannel(benchmark::State &state)

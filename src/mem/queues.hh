@@ -7,9 +7,9 @@
 #define DCL1_MEM_QUEUES_HH
 
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "check/check.hh"
 #include "common/log.hh"
@@ -20,16 +20,20 @@ namespace dcl1::mem
 /**
  * A FIFO with a fixed capacity. Producers must check canPush() (or use
  * tryPush) so that full queues exert backpressure instead of growing.
+ * Storage is a ring of `capacity` slots allocated at construction.
  */
 template <typename T>
 class BoundedQueue
 {
   public:
-    explicit BoundedQueue(std::size_t capacity = 4) : capacity_(capacity) {}
+    explicit BoundedQueue(std::size_t capacity = 4)
+        : capacity_(capacity), ring_(capacity)
+    {
+    }
 
-    bool empty() const { return q_.empty(); }
-    bool full() const { return q_.size() >= capacity_; }
-    std::size_t size() const { return q_.size(); }
+    bool empty() const { return size_ == 0; }
+    bool full() const { return size_ >= capacity_; }
+    std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
     bool canPush() const { return !full(); }
 
@@ -39,7 +43,7 @@ class BoundedQueue
     {
         DCL1_ASSERT(!full(),
                     "BoundedQueue: push beyond capacity %zu", capacity_);
-        q_.push_back(std::move(v));
+        append(std::move(v));
     }
 
     /** @return true and consume @p v if space was available. */
@@ -48,40 +52,63 @@ class BoundedQueue
     {
         if (full())
             return false;
-        q_.push_back(std::move(v));
+        append(std::move(v));
         return true;
     }
 
     /** Front element; queue must be non-empty. */
-    T &front() { return q_.front(); }
-    const T &front() const { return q_.front(); }
+    T &front() { return ring_[head_]; }
+    const T &front() const { return ring_[head_]; }
 
     /** Pop and return the front element; queue must be non-empty. */
     T
     pop()
     {
-        DCL1_ASSERT(!q_.empty(), "BoundedQueue: pop from empty queue");
-        T v = std::move(q_.front());
-        q_.pop_front();
-        return v;
+        DCL1_ASSERT(size_ != 0, "BoundedQueue: pop from empty queue");
+        return take();
     }
 
     /** Pop the front element if present. */
     std::optional<T>
     tryPop()
     {
-        if (q_.empty())
+        if (size_ == 0)
             return std::nullopt;
-        std::optional<T> v(std::move(q_.front()));
-        q_.pop_front();
+        return take();
+    }
+
+    void
+    clear()
+    {
+        while (size_ != 0)
+            take();
+    }
+
+  private:
+    void
+    append(T &&v)
+    {
+        std::size_t tail = head_ + size_;
+        if (tail >= capacity_)
+            tail -= capacity_;
+        ring_[tail] = std::move(v);
+        ++size_;
+    }
+
+    T
+    take()
+    {
+        T v = std::move(ring_[head_]);
+        if (++head_ == capacity_)
+            head_ = 0;
+        --size_;
         return v;
     }
 
-    void clear() { q_.clear(); }
-
-  private:
     std::size_t capacity_;
-    std::deque<T> q_;
+    std::vector<T> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 } // namespace dcl1::mem

@@ -10,6 +10,32 @@
  * after the router pipeline latency. The crossbar runs at a rational
  * ratio of the core clock (0.5 at the platform's 700 MHz; 1.0 when the
  * paper's *Boost* doubles NoC#1 frequency).
+ *
+ * The allocator works on 128-bit port masks (two 64-bit words; ports
+ * are limited to 128). `reqBits_[out]` holds the inputs whose VOQ for
+ * `out` is non-empty. Each NoC cycle builds a mask of free inputs
+ * once; every free output with room in its output queue grants the
+ * first input of `reqBits_[out] & inputFree` at or after its grant
+ * pointer (a rotate-and-count-trailing-zeros search) and records the
+ * grant in that input's grant mask. The accept phase then visits only
+ * the inputs that received a grant, in ascending order, and each
+ * accepts the first granting output at or after its accept pointer.
+ * This costs O(inputs + outputs) word operations per cycle and yields
+ * exactly the matching of a per-port scan.
+ *
+ * Storage is preallocated and fixed. Each input owns a pool of
+ * `inputQueueCap` packet slots; its VOQs are FIFOs threaded through
+ * the pool by a `slotNext_` index array (head/tail per VOQ, a free
+ * list per input), so the per-input credit check bounds the pool.
+ * Each output owns a ring of `outputQueueCap` slots: its delivered
+ * packets from the head, then the packets still traversing the switch
+ * in grant order. A granted packet moves straight from its VOQ into
+ * the ring, and lands by advancing the delivered count once its
+ * landing cycle comes. Transfers through one output serialize, so its
+ * packets land in grant order, at most one per NoC cycle. The
+ * allocator's backpressure check (delivered + in transit < capacity)
+ * bounds the ring. Nothing on the tick path allocates, and `busy()`
+ * and `pendingPackets()` read one counter.
  */
 
 #ifndef DCL1_NOC_CROSSBAR_HH
@@ -17,7 +43,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,20 +86,26 @@ class Crossbar
     void inject(Packet pkt);
 
     /** Pop a delivered packet at @p output, if any. */
-    std::optional<Packet> eject(std::uint32_t output);
+    std::optional<Packet>
+    eject(std::uint32_t output)
+    {
+        if (outSize_[output] == 0)
+            return std::nullopt;
+        return popDelivered(output);
+    }
 
     /** Peek whether @p output has a delivered packet. */
     bool
     hasEjectable(std::uint32_t output) const
     {
-        return !outQ_[output].empty();
+        return outSize_[output] != 0;
     }
 
     /** Advance one *core* cycle (internally ticks on the clock ratio). */
     void tick();
 
     /** Any buffered or in-flight packets? */
-    bool busy() const;
+    bool busy() const { return pending_ != 0; }
 
     const XbarParams &params() const { return params_; }
     Cycle nocCycles() const { return nocCycle_; }
@@ -92,7 +123,7 @@ class Crossbar
     }
     std::size_t outQueueSize(std::uint32_t output) const
     {
-        return outQ_[output].size();
+        return outSize_[output];
     }
     /** Utilization of @p output's link: busy NoC cycles / NoC cycles. */
     double outputUtilization(std::uint32_t output) const;
@@ -115,7 +146,7 @@ class Crossbar
     /// @}
 
     /** Packets buffered or in flight anywhere inside the switch. */
-    std::size_t pendingPackets() const;
+    std::size_t pendingPackets() const { return pending_; }
 
     /**
      * Verify internal bookkeeping (DCL1_CHECK builds): VOQ occupancy
@@ -127,8 +158,24 @@ class Crossbar
     void checkInvariants() const;
 
   private:
+    /** A set of ports, one bit each (ports are limited to 128). */
+    using PortMask = std::array<std::uint64_t, 2>;
+    /** End of a slot chain. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+
     void nocTick();
     void allocate();
+    void startTransfer(std::uint32_t in, std::uint32_t out);
+    Packet popDelivered(std::uint32_t output);
+    /** Ring slot @p k places after @p output's head. */
+    std::size_t
+    outSlot(std::uint32_t output, std::uint32_t k) const
+    {
+        std::uint32_t pos = outHead_[output] + k;
+        if (pos >= params_.outputQueueCap)
+            pos -= params_.outputQueueCap;
+        return std::size_t(output) * params_.outputQueueCap + pos;
+    }
 
     std::size_t voqIndex(std::uint32_t in, std::uint32_t out) const
     {
@@ -137,19 +184,38 @@ class Crossbar
 
     XbarParams params_;
 
-    std::vector<std::deque<Packet>> voq_;       ///< I*O queues
+    /// @name VOQs: per-input slot pools (numInputs * inputQueueCap)
+    /// @{
+    std::vector<Packet> slots_;
+    std::vector<std::uint32_t> slotNext_; ///< next slot in VOQ/free list
+    std::vector<std::uint32_t> freeSlot_; ///< free-list head per input
+    std::vector<std::uint32_t> voqHead_;  ///< I*O; kNoSlot when empty
+    std::vector<std::uint32_t> voqTail_;  ///< I*O; valid when non-empty
+    /// @}
+
     std::vector<std::uint32_t> inputOcc_;       ///< packets per input
-    std::vector<std::array<std::uint64_t, 2>> reqBits_; ///< per output
+    std::vector<PortMask> reqBits_;             ///< inputs, per output
+    std::vector<PortMask> grants_;              ///< outputs, per input
     std::vector<std::uint32_t> grantPtr_;       ///< per output (iSLIP)
     std::vector<std::uint32_t> acceptPtr_;      ///< per input (iSLIP)
     std::vector<Cycle> inputFreeAt_;            ///< NoC cycles
     std::vector<Cycle> outputFreeAt_;
     std::vector<std::uint32_t> outReserved_;    ///< in-transit per output
 
-    /** Packets traversing the switch: ready NoC cycle + packet. */
-    std::vector<std::pair<Cycle, Packet>> inTransit_;
+    /// @name Output rings (numOutputs * outputQueueCap slots)
+    /// Each ring holds, from its head, outSize_ delivered packets and
+    /// then outReserved_ packets still traversing the switch, in grant
+    /// order, which is also their landing order.
+    /// @{
+    std::vector<Packet> outSlots_;
+    std::vector<Cycle> outReady_;         ///< landing NoC cycle per slot
+    std::vector<std::uint32_t> outHead_;
+    std::vector<std::uint32_t> outSize_;  ///< delivered packets
+    PortMask inFlight_{0, 0};             ///< outputs with reservations
+    /// @}
 
-    std::vector<std::deque<Packet>> outQ_;
+    /** Packets buffered or in flight (injected, not yet ejected). */
+    std::size_t pending_ = 0;
 
     Cycle nocCycle_ = 0;
     double phase_ = 0.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -202,7 +204,119 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(80u, 32u, 0.05),
                       std::make_tuple(80u, 40u, 0.1),
                       std::make_tuple(10u, 8u, 0.4),
-                      std::make_tuple(1u, 1u, 0.9)));
+                      std::make_tuple(1u, 1u, 0.9),
+                      std::make_tuple(64u, 64u, 0.1),
+                      std::make_tuple(65u, 63u, 0.1),
+                      std::make_tuple(128u, 128u, 0.05)));
+
+/** One crossbar shape and the digest of its delivery trace. */
+struct TraceCase
+{
+    std::uint32_t ins;
+    std::uint32_t outs;
+    std::uint64_t digest;
+};
+
+void
+PrintTo(const TraceCase &c, std::ostream *os)
+{
+    *os << c.ins << "x" << c.outs;
+}
+
+/**
+ * Exact behaviour: a digest over every delivery under seeded random
+ * multi-flit load. Each ejected packet contributes (tick, output, src,
+ * flits, injectedAt, serial), and the six allocator counters close the
+ * trace. The load alternates between saturating and light phases, and
+ * outputs drain at random so output backpressure engages. The pinned
+ * digests fix the allocator's matching, pointer updates, landing
+ * order and VOQ order; the shapes straddle both 64-bit mask words.
+ */
+class XbarTraceDigestTest : public ::testing::TestWithParam<TraceCase>
+{
+};
+
+std::uint64_t
+traceDigest(std::uint32_t ins, std::uint32_t outs)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+
+    Crossbar x(params(ins, outs, 1.0));
+    Rng rng(ins * 7919 + outs);
+    std::uint32_t serial = 0;
+    auto eject_all = [&](std::uint64_t t, double p) {
+        for (std::uint32_t out = 0; out < outs; ++out) {
+            if (!rng.chance(p))
+                continue;
+            if (auto pkt = x.eject(out)) {
+                mix(t);
+                mix(out);
+                mix(pkt->src);
+                mix(pkt->flits);
+                mix(pkt->injectedAt);
+                mix(pkt->endpoint);
+            }
+        }
+    };
+
+    std::uint64_t t = 0;
+    for (; t < 3000; ++t) {
+        const double load = (t / 500) % 2 == 0 ? 0.35 : 0.02;
+        for (std::uint32_t in = 0; in < ins; ++in) {
+            if (rng.chance(load) && x.canInject(in)) {
+                Packet p = packet(in, std::uint32_t(rng.below(outs)),
+                                  1 + std::uint32_t(rng.below(4)));
+                p.endpoint = serial++;
+                x.inject(std::move(p));
+            }
+        }
+        x.tick();
+        eject_all(t, 0.6);
+    }
+    for (; x.busy() && t < 20000; ++t) {
+        x.tick();
+        eject_all(t, 1.0);
+    }
+    EXPECT_FALSE(x.busy());
+    for (std::uint64_t c : {x.dbgOutBusy, x.dbgOutQFull, x.dbgNoRequest,
+                            x.dbgNoFreeInput, x.dbgGrants, x.dbgAccepts})
+        mix(c);
+    return h;
+}
+
+TEST_P(XbarTraceDigestTest, MatchesPinnedTrace)
+{
+    const TraceCase c = GetParam();
+    const std::uint64_t got = traceDigest(c.ins, c.outs);
+    EXPECT_EQ(got, c.digest)
+        << c.ins << "x" << c.outs << " digest 0x" << std::hex << got;
+}
+
+std::string
+traceCaseName(const ::testing::TestParamInfo<TraceCase> &info)
+{
+    return std::to_string(info.param.ins) + "x" +
+           std::to_string(info.param.outs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, XbarTraceDigestTest,
+    ::testing::Values(TraceCase{1, 1, 0xbf0525058d7360a9ull},
+                      TraceCase{2, 1, 0x1cc139c5e49352e8ull},
+                      TraceCase{8, 4, 0x6eac5f7c2c727a8aull},
+                      TraceCase{63, 65, 0xb8923300fc38cb77ull},
+                      TraceCase{64, 64, 0x64d7a3057e243bfbull},
+                      TraceCase{65, 63, 0xa97093133ef5a858ull},
+                      TraceCase{80, 40, 0x9c5279858604f262ull},
+                      TraceCase{40, 80, 0xf4089097c4787d55ull},
+                      TraceCase{128, 128, 0x9f4bee7785ae6f84ull}),
+    traceCaseName);
 
 /** Property: saturated uniform traffic achieves decent throughput. */
 TEST(Crossbar, SaturationThroughput)
