@@ -6,56 +6,36 @@
 namespace dcl1::check
 {
 
-const char *
-stageName(ReqStage stage)
-{
-    switch (stage) {
-      case ReqStage::Issued:
-        return "Issued";
-      case ReqStage::InNoc:
-        return "InNoc";
-      case ReqStage::AtCache:
-        return "AtCache";
-      case ReqStage::InMshr:
-        return "InMshr";
-      case ReqStage::AtDram:
-        return "AtDram";
-      case ReqStage::Retired:
-        return "Retired";
-    }
-    return "?";
-}
-
 namespace
 {
 
-/** Allowed lifecycle moves (row = from, column = to). */
-bool
-transitionAllowed(ReqStage from, ReqStage to)
+constexpr unsigned
+bit(Custody c)
 {
-    switch (from) {
-      case ReqStage::Issued:
-        // Into a NoC, or straight into a private L1 (baseline cores).
-        return to == ReqStage::InNoc || to == ReqStage::AtCache;
-      case ReqStage::InNoc:
-        // Hop between crossbar stages, or land at a cache level.
-        return to == ReqStage::InNoc || to == ReqStage::AtCache;
-      case ReqStage::AtCache:
-        // Move between a node's queues and its bank, onward to a NoC,
-        // to a memory channel, or get merged into an MSHR entry.
-        return to == ReqStage::AtCache || to == ReqStage::InNoc ||
-               to == ReqStage::AtDram || to == ReqStage::InMshr;
-      case ReqStage::InMshr:
-        // Only a fill completing the fetch releases merged targets.
-        return to == ReqStage::AtCache;
-      case ReqStage::AtDram:
-        // A DRAM reply is collected by its L2 slice.
-        return to == ReqStage::AtCache;
-      case ReqStage::Retired:
-        return false; // any move after retirement is use-after-retire
-    }
-    return false;
+    return 1u << static_cast<unsigned>(c);
 }
+
+// The move table reads both networks as one stage, and every cache
+// level as one stage.
+constexpr unsigned kNoc = bit(Custody::NocReq) | bit(Custody::NocReply);
+constexpr unsigned kLevel = bit(Custody::Cache) | bit(Custody::L2);
+/** A reply retires at a core (from a NoC or straight out of a private
+ *  L1); a writeback where it is absorbed (L2 or DRAM). */
+constexpr unsigned kRetireFrom = kNoc | kLevel | bit(Custody::Dram);
+
+/** Allowed moves: destinations per source custody, in enum order. */
+constexpr std::array<unsigned, stats::kNumCustody> kMoves = {
+    kNoc | kLevel, // Issue: into a NoC, or straight into a private L1
+    kNoc | kLevel, // NocReq: hop between networks, or land at a level
+    // Cache and L2: between a node's queues and its bank, onward to a
+    // NoC or a memory channel, or merged into an MSHR entry.
+    kLevel | kNoc | bit(Custody::Dram) | bit(Custody::Mshr),
+    kLevel | kNoc | bit(Custody::Dram) | bit(Custody::Mshr),
+    kLevel,        // Dram: a DRAM reply is collected by its L2 slice
+    kNoc | kLevel, // NocReply: as NocReq
+    kLevel,        // Mshr: only a fill releases merged targets
+    0,             // Retired: any move is use-after-retire
+};
 
 } // anonymous namespace
 
@@ -73,7 +53,7 @@ RequestLedger::instance()
 
 void
 RequestLedger::record(std::uint8_t kind, std::uint64_t seq,
-                      std::uint64_t addr, ReqStage from, ReqStage to)
+                      std::uint64_t addr, Custody from, Custody to)
 {
     Event &e = events_[eventCount_ % kEventRing];
     e.seq = seq;
@@ -85,26 +65,22 @@ RequestLedger::record(std::uint8_t kind, std::uint64_t seq,
 }
 
 void
-RequestLedger::onCreate(mem::MemRequest &req, Cycle now, ReqStage stage)
+RequestLedger::onCreate(mem::MemRequest &req, Cycle now, Custody at)
 {
-    if (!enabled_)
-        return;
     if (req.chkSeq != 0)
         panic("ledger: request %llu registered twice",
               static_cast<unsigned long long>(req.chkSeq));
     req.chkSeq = ++nextSeq_;
     ++registered_;
-    Entry e;
-    e.stage = stage;
-    e.createdAt = now;
-    entries_.emplace(req.chkSeq, e);
-    record(0, req.chkSeq, req.addr, stage, stage);
+    ++entered_[static_cast<std::size_t>(at)];
+    entries_.emplace(req.chkSeq, Entry{at, now});
+    record(0, req.chkSeq, req.addr, at, at);
 }
 
 void
-RequestLedger::onTransition(const mem::MemRequest &req, ReqStage to)
+RequestLedger::onTransition(const mem::MemRequest &req, Custody to)
 {
-    if (!enabled_ || req.chkSeq == 0)
+    if (req.chkSeq == 0)
         return;
     auto it = entries_.find(req.chkSeq);
     if (it == entries_.end())
@@ -112,61 +88,58 @@ RequestLedger::onTransition(const mem::MemRequest &req, ReqStage to)
               static_cast<unsigned long long>(req.chkSeq),
               static_cast<unsigned long long>(req.addr));
     Entry &e = it->second;
-    if (!transitionAllowed(e.stage, to))
+    if (!(kMoves[static_cast<std::size_t>(e.custody)] & bit(to)))
         panic("ledger: illegal transition %s -> %s "
               "(request %llu, addr %llx, core %u, %s)",
-              stageName(e.stage), stageName(to),
+              stats::custodyName(e.custody), stats::custodyName(to),
               static_cast<unsigned long long>(req.chkSeq),
               static_cast<unsigned long long>(req.addr), req.core,
               req.isReply ? "reply" : "request");
-    record(1, req.chkSeq, req.addr, e.stage, to);
-    e.stage = to;
-    ++e.hops;
-    ++transitions_;
+    record(1, req.chkSeq, req.addr, e.custody, to);
+    e.custody = to;
+    ++entered_[static_cast<std::size_t>(to)];
 }
 
 void
 RequestLedger::onRetire(const mem::MemRequest &req)
 {
-    if (!enabled_ || req.chkSeq == 0)
+    if (req.chkSeq == 0)
         return;
     auto it = entries_.find(req.chkSeq);
     if (it == entries_.end())
         panic("ledger: retiring unknown request %llu",
               static_cast<unsigned long long>(req.chkSeq));
-    const ReqStage from = it->second.stage;
-    if (from == ReqStage::Retired)
+    const Custody from = it->second.custody;
+    if (from == Custody::Retired)
         panic("ledger: double retire of request %llu (addr %llx)",
               static_cast<unsigned long long>(req.chkSeq),
               static_cast<unsigned long long>(req.addr));
-    // A reply retires at a core (from a NoC or straight out of a
-    // private L1) and a writeback retires where it is absorbed (L2 or
-    // DRAM). A request still merged in an MSHR, or one that never left
-    // its core, must not be consumed.
-    if (from != ReqStage::InNoc && from != ReqStage::AtCache &&
-        from != ReqStage::AtDram)
+    // A request still merged in an MSHR, or one that never left its
+    // core, must not be consumed.
+    if (!(kRetireFrom & bit(from)))
         panic("ledger: retire from illegal stage %s "
               "(request %llu, addr %llx)",
-              stageName(from), static_cast<unsigned long long>(req.chkSeq),
+              stats::custodyName(from),
+              static_cast<unsigned long long>(req.chkSeq),
               static_cast<unsigned long long>(req.addr));
-    record(2, req.chkSeq, req.addr, from, ReqStage::Retired);
-    it->second.stage = ReqStage::Retired;
-    ++retiredCount_;
+    record(2, req.chkSeq, req.addr, from, Custody::Retired);
+    it->second.custody = Custody::Retired;
+    ++entered_[static_cast<std::size_t>(Custody::Retired)];
 }
 
 void
 RequestLedger::onDestroy(const mem::MemRequest &req)
 {
-    if (!enabled_ || req.chkSeq == 0)
+    if (req.chkSeq == 0)
         return;
     auto it = entries_.find(req.chkSeq);
     if (it == entries_.end())
         return; // registered in a previous, since cleared, session
-    if (strictDestroy_ && it->second.stage != ReqStage::Retired)
+    if (strictDestroy_ && it->second.custody != Custody::Retired)
         panic("ledger: request %llu leaked (destroyed in stage %s, "
               "addr %llx, core %u)",
               static_cast<unsigned long long>(req.chkSeq),
-              stageName(it->second.stage),
+              stats::custodyName(it->second.custody),
               static_cast<unsigned long long>(req.addr), req.core);
     entries_.erase(it);
 }
@@ -177,7 +150,7 @@ RequestLedger::liveCount() const
     std::size_t live = 0;
     // Audit path only; never called from a ticked code path.
     for (const auto &kv : entries_) // lint: unordered-iter-ok
-        if (kv.second.stage != ReqStage::Retired)
+        if (kv.second.custody != Custody::Retired)
             ++live;
     return live;
 }
@@ -185,18 +158,16 @@ RequestLedger::liveCount() const
 void
 RequestLedger::audit(const char *where) const
 {
-    if (!enabled_)
-        return;
     const std::size_t live = liveCount();
     if (live != 0) {
         // Find one survivor to make the report actionable.
         for (const auto &kv : entries_) { // lint: unordered-iter-ok
-            if (kv.second.stage != ReqStage::Retired) {
+            if (kv.second.custody != Custody::Retired) {
                 panic("ledger audit (%s): %zu request(s) still live; "
                       "e.g. seq %llu stuck in stage %s since cycle %llu",
                       where, live,
                       static_cast<unsigned long long>(kv.first),
-                      stageName(kv.second.stage),
+                      stats::custodyName(kv.second.custody),
                       static_cast<unsigned long long>(
                           kv.second.createdAt));
             }
@@ -219,7 +190,8 @@ RequestLedger::recentEventsJson() const
             "%s{\"seq\":%llu,\"ev\":\"%s\",\"from\":\"%s\","
             "\"to\":\"%s\",\"addr\":\"0x%llx\"}",
             i == 0 ? "" : ",", static_cast<unsigned long long>(e.seq),
-            kind_names[e.kind], stageName(e.from), stageName(e.to),
+            kind_names[e.kind], stats::custodyName(e.from),
+            stats::custodyName(e.to),
             static_cast<unsigned long long>(e.addr));
     }
     out += "]";

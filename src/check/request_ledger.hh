@@ -4,16 +4,19 @@
  *
  * Every MemRequest a core's coalescer injects (and every writeback a
  * cache creates) is registered with the per-thread RequestLedger and
- * then audited as it moves through the machine:
+ * then audited as it moves along the custody chain
+ * (stats::Custody, stats/latency_attr.hh). The ledger reads both
+ * networks as one stage and every cache level as one stage:
  *
- *     Issued --> InNoc <--> AtCache <--> InMshr
- *                  |           |
- *                  |           v
- *                  |        AtDram
- *                  v           |
- *               Retired <------+
+ *     Issue --> NocReq|NocReply <--> Cache|L2 <--> Mshr
+ *                    |                  |
+ *                    |                  v
+ *                    |                Dram
+ *                    v                  |
+ *                 Retired <-------------+
  *
- * Components report coarse stage transitions; the ledger panics on any
+ * Its only event source is the custody calls in mem/request.hh:
+ * mem::create, mem::handoff and mem::retire. The ledger panics on any
  * move the state machine does not allow (double retire, use after
  * retire, re-merge of an already merged request, a reply teleporting
  * from DRAM straight to a core, ...). Destroying a live (un-retired)
@@ -38,28 +41,23 @@
 
 #include "check/check.hh"
 #include "common/types.hh"
+#include "stats/latency_attr.hh"
 
 namespace dcl1::mem
 {
 struct MemRequest;
+// The custody calls, defined in mem/request.hh.
+inline void create(MemRequest &req, stats::Custody at, Cycle now,
+                   stats::LatencyAttribution *attr);
+inline void handoff(MemRequest &req, stats::Custody to);
+inline void retire(MemRequest &req, Cycle now,
+                   stats::LatencyAttribution *attr);
 } // namespace dcl1::mem
 
 namespace dcl1::check
 {
 
-/** Coarse pipeline stage of a tracked request. */
-enum class ReqStage : std::uint8_t
-{
-    Issued,  ///< created; still inside the issuing core (LSU/outbound)
-    InNoc,   ///< buffered or in flight inside any crossbar
-    AtCache, ///< inside an L1/DC-L1 node or L2 slice (queues or bank)
-    InMshr,  ///< held as a merged secondary target inside an MSHR entry
-    AtDram,  ///< queued or in service at a memory channel
-    Retired, ///< consumed: reply delivered, write ACKed, or WB absorbed
-};
-
-/** Human-readable stage name. */
-const char *stageName(ReqStage stage);
+using stats::Custody;
 
 /** See file comment. */
 class RequestLedger
@@ -72,10 +70,6 @@ class RequestLedger
      */
     static RequestLedger &instance();
 
-    /** Master switch; when false every call is a no-op. */
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool on) { enabled_ = on; }
-
     /**
      * When armed, destroying a non-retired tracked request panics.
      * GpuSystem::run arms this for the duration of the cycle loop;
@@ -83,20 +77,6 @@ class RequestLedger
      */
     void setStrictDestroy(bool on) { strictDestroy_ = on; }
     bool strictDestroy() const { return strictDestroy_; }
-
-    /**
-     * Register @p req, assigning its ledger sequence number.
-     * @p stage is Issued for core requests and AtCache for writebacks
-     * born inside a cache.
-     */
-    void onCreate(mem::MemRequest &req, Cycle now,
-                  ReqStage stage = ReqStage::Issued);
-
-    /** Report that @p req moved to @p to; panics on illegal moves. */
-    void onTransition(const mem::MemRequest &req, ReqStage to);
-
-    /** Terminal consumption of @p req; panics on double retire. */
-    void onRetire(const mem::MemRequest &req);
 
     /** Called from ~MemRequest; leak detection (see setStrictDestroy). */
     void onDestroy(const mem::MemRequest &req);
@@ -116,8 +96,13 @@ class RequestLedger
     /// @name Counters (never reset by clear())
     /// @{
     std::uint64_t registered() const { return registered_; }
-    std::uint64_t retired() const { return retiredCount_; }
-    std::uint64_t transitions() const { return transitions_; }
+    std::uint64_t retired() const { return entered(Custody::Retired); }
+    /** Times any request entered custody @p c (create, move, retire). */
+    std::uint64_t
+    entered(Custody c) const
+    {
+        return entered_[static_cast<std::size_t>(c)];
+    }
     /// @}
 
     /** Events kept in the forensic ring (see recentEventsJson). */
@@ -134,11 +119,29 @@ class RequestLedger
     std::string recentEventsJson() const;
 
   private:
+    friend void mem::create(mem::MemRequest &, stats::Custody, Cycle,
+                            stats::LatencyAttribution *);
+    friend void mem::handoff(mem::MemRequest &, stats::Custody);
+    friend void mem::retire(mem::MemRequest &, Cycle,
+                            stats::LatencyAttribution *);
+
+    /**
+     * Register @p req in custody @p at (Issue for core requests, the
+     * owning level for writebacks born inside a cache), assigning its
+     * ledger sequence number.
+     */
+    void onCreate(mem::MemRequest &req, Cycle now, Custody at);
+
+    /** Record that @p req moved to @p to; panics on illegal moves. */
+    void onTransition(const mem::MemRequest &req, Custody to);
+
+    /** Terminal consumption of @p req; panics on double retire. */
+    void onRetire(const mem::MemRequest &req);
+
     struct Entry
     {
-        ReqStage stage = ReqStage::Issued;
+        Custody custody = Custody::Issue;
         Cycle createdAt = 0;
-        std::uint32_t hops = 0;
     };
 
     /** One ring slot: a lifecycle event for the crash-forensics tail. */
@@ -146,20 +149,18 @@ class RequestLedger
     {
         std::uint64_t seq = 0;
         std::uint64_t addr = 0;
-        ReqStage from = ReqStage::Issued;
-        ReqStage to = ReqStage::Issued;
+        Custody from = Custody::Issue;
+        Custody to = Custody::Issue;
         std::uint8_t kind = 0; ///< 0 create, 1 transition, 2 retire
     };
 
     void record(std::uint8_t kind, std::uint64_t seq, std::uint64_t addr,
-                ReqStage from, ReqStage to);
+                Custody from, Custody to);
 
-    bool enabled_ = DCL1_CHECK_ENABLED != 0;
     bool strictDestroy_ = false;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t registered_ = 0;
-    std::uint64_t retiredCount_ = 0;
-    std::uint64_t transitions_ = 0;
+    std::array<std::uint64_t, stats::kNumCustody> entered_{};
     // Keyed lookups only; never iterated on a ticked path.
     std::unordered_map<std::uint64_t, Entry> entries_;
     std::array<Event, kEventRing> events_{};

@@ -1,7 +1,6 @@
 #include "core/dcl1_node.hh"
 
 #include "check/check.hh"
-#include "check/request_ledger.hh"
 #include "common/log.hh"
 
 namespace dcl1::core
@@ -23,22 +22,22 @@ DcL1Node::DcL1Node(const mem::CacheBankParams &cache_params,
 }
 
 void
-DcL1Node::pushFromCore(mem::MemRequestPtr req)
+DcL1Node::pushFromCore(mem::MemRequestPtr req, Cycle now)
 {
     if (!q1_.canPush())
         panic("node %u: Q1 overflow", nodeId_);
-    DCL1_CHECK_ONLY(
-        check::ledger().onTransition(*req, check::ReqStage::AtCache));
+    // Time queued in Q1 counts against the DC-L1 cache.
+    mem::handoff(*req, stats::Custody::Cache, now);
     q1_.push(std::move(req));
 }
 
 void
-DcL1Node::pushFromMem(mem::MemRequestPtr reply)
+DcL1Node::pushFromMem(mem::MemRequestPtr reply, Cycle now)
 {
     if (!q4_.canPush())
         panic("node %u: Q4 overflow", nodeId_);
-    DCL1_CHECK_ONLY(
-        check::ledger().onTransition(*reply, check::ReqStage::AtCache));
+    // Time queued in Q4 (and the fill itself) is cache time.
+    mem::handoff(*reply, stats::Custody::Cache, now);
     q4_.push(std::move(reply));
 }
 

@@ -47,7 +47,7 @@ class DcL1Node
     /// @name Core-facing side (NoC#1)
     /// @{
     bool canAcceptFromCore() const { return q1_.canPush(); }
-    void pushFromCore(mem::MemRequestPtr req);
+    void pushFromCore(mem::MemRequestPtr req, Cycle now);
     std::optional<mem::MemRequestPtr> takeToCore() { return q2_.tryPop(); }
     bool hasToCore() const { return !q2_.empty(); }
     /// @}
@@ -55,7 +55,7 @@ class DcL1Node
     /// @name Memory-facing side (NoC#2)
     /// @{
     bool canAcceptFromMem() const { return q4_.canPush(); }
-    void pushFromMem(mem::MemRequestPtr reply);
+    void pushFromMem(mem::MemRequestPtr reply, Cycle now);
     std::optional<mem::MemRequestPtr> takeToMem() { return q3_.tryPop(); }
     bool hasToMem() const { return !q3_.empty(); }
     /// @}

@@ -104,7 +104,7 @@ GpuSystem::l2BankParams() const
     p.downstreamCap = 16;
     p.policy = mem::WritePolicy::WriteBack;
     p.repl = sys_.l2Repl;
-    p.tlmSeg = stats::Seg::L2;
+    p.custody = stats::Custody::L2;
     return p;
 }
 
@@ -294,8 +294,7 @@ GpuSystem::tickOnce()
                 break;
             const std::uint32_t dst =
                 nodes_.empty() ? (*reply)->core : (*reply)->homeNode;
-            stats::tlmEnter((*reply)->tlm, stats::Seg::NocReply, cycle_);
-            mem_reply.inject(s, dst, std::move(*reply));
+            send(mem_reply, s, dst, std::move(*reply));
         }
     }
 
@@ -317,9 +316,7 @@ GpuSystem::tickOnce()
             auto reply = mem_reply.eject(n);
             if (!reply)
                 break;
-            // Time queued in Q4 (and the fill itself) is cache time.
-            stats::tlmEnter((*reply)->tlm, stats::Seg::Cache, cycle_);
-            nodes_[n]->pushFromMem(std::move(*reply));
+            nodes_[n]->pushFromMem(std::move(*reply), cycle_);
         }
     }
     noc::Network &core_req = coreReq();
@@ -328,9 +325,7 @@ GpuSystem::tickOnce()
             auto req = core_req.eject(n);
             if (!req)
                 break;
-            // Time queued in Q1 counts against the DC-L1 cache.
-            stats::tlmEnter((*req)->tlm, stats::Seg::Cache, cycle_);
-            nodes_[n]->pushFromCore(std::move(*req));
+            nodes_[n]->pushFromCore(std::move(*req), cycle_);
         }
     }
     noc::Network &core_reply = coreReply();
@@ -351,8 +346,7 @@ GpuSystem::tickOnce()
         while (cores_[c]->hasOutbound() && core_req.canInject(c)) {
             auto req = cores_[c]->takeOutbound();
             const std::uint32_t dst = routeFromCore(c, **req);
-            stats::tlmEnter((*req)->tlm, stats::Seg::NocReq, cycle_);
-            core_req.inject(c, dst, std::move(*req));
+            send(core_req, c, dst, std::move(*req));
         }
         cores_[c]->tick(cycle_);
     }
@@ -370,6 +364,17 @@ GpuSystem::routeFromCore(CoreId core, mem::MemRequest &req) const
 }
 
 void
+GpuSystem::send(noc::Network &net, std::uint32_t src, std::uint32_t dst,
+                mem::MemRequestPtr req)
+{
+    mem::handoff(*req,
+                 req->isReply ? stats::Custody::NocReply
+                              : stats::Custody::NocReq,
+                 cycle_);
+    net.inject(src, dst, std::move(req));
+}
+
+void
 GpuSystem::tickNodes()
 {
     DCL1_PROF_SCOPE(Node);
@@ -384,16 +389,14 @@ GpuSystem::tickNodes()
             auto req = node.takeToMem();
             const SliceId slice = addrMap_.slice((*req)->addr);
             (*req)->slice = slice;
-            stats::tlmEnter((*req)->tlm, stats::Seg::NocReq, cycle_);
-            mem_req.inject(n, slice, std::move(*req));
+            send(mem_req, n, slice, std::move(*req));
         }
 
         // Q2 -> core-side reply network.
         while (node.hasToCore() && core_reply.canInject(n)) {
             auto reply = node.takeToCore();
             const CoreId core = (*reply)->core;
-            stats::tlmEnter((*reply)->tlm, stats::Seg::NocReply, cycle_);
-            core_reply.inject(n, core, std::move(*reply));
+            send(core_reply, n, core, std::move(*reply));
         }
     }
 }

@@ -270,6 +270,10 @@ class GpuSystem
      */
     std::uint32_t routeFromCore(CoreId core, mem::MemRequest &req) const;
 
+    /** Hand @p req over to network @p net and inject it. */
+    void send(noc::Network &net, std::uint32_t src, std::uint32_t dst,
+              mem::MemRequestPtr req);
+
     /// @name Roles in nets_
     /// @{
     noc::Network &coreReq() { return *nets_[0]; }

@@ -46,7 +46,7 @@ crashSnapshotJson(core::GpuSystem &gpu)
 
     // Request-ledger tail (DCL1_CHECK builds): the last lifecycle
     // events before death, straight from the auditing machinery.
-    if (check::checksCompiledIn && check::ledger().enabled()) {
+    if (check::checksCompiledIn) {
         state += csprintf(",\"ledger\":{\"live\":%zu,\"registered\":"
                           "%llu,\"retired\":%llu,\"recent\":%s}",
                           check::ledger().liveCount(),

@@ -1,7 +1,6 @@
 #include "gpucore/lite_core.hh"
 
 #include "check/check.hh"
-#include "check/request_ledger.hh"
 #include "common/log.hh"
 
 namespace dcl1::gpucore
@@ -156,14 +155,9 @@ LiteCore::issue(Cycle now)
             const auto &a = instr.accesses[i];
             auto req = mem::makeRequest(a.op, a.addr, a.bytes,
                                         params_.id, w, now);
-            // Register with the lifecycle ledger at the injection
-            // point: everything the machine does with this request
-            // from here on is audited.
-            DCL1_CHECK_ONLY(check::ledger().onCreate(*req, now));
-            // Attribution samples read-class requests only: writes are
-            // fire-and-forget and never enter readLatencySum.
-            if (tlm_ && !req->isWrite())
-                tlm_->onCreate(req->tlm, now);
+            // Custody starts at the injection point: everything the
+            // machine does with this request from here on is audited.
+            mem::create(*req, stats::Custody::Issue, now, tlm_);
             lsu_.push(std::move(req));
         }
         outstandingWrites_ += writes;
@@ -214,15 +208,13 @@ LiteCore::pumpL1(Cycle now)
     // Completions: hits, filled misses, write ACKs.
     while (auto done = l1_->takeCompleted(now)) {
         mem::MemRequestPtr req = std::move(*done);
-        DCL1_CHECK_ONLY(check::ledger().onRetire(*req));
+        mem::retire(*req, now, tlm_);
         if (req->isWrite()) {
             if (outstandingWrites_ == 0)
                 panic("core %u: write ACK underflow", params_.id);
             --outstandingWrites_;
             continue;
         }
-        if (tlm_)
-            tlm_->onRetire(req->tlm, now);
         readLatencySum_ += now - req->createdAt;
         preServiceSum_ += req->l1ServiceAt - req->createdAt;
         ++readsCompleted_;
@@ -260,19 +252,6 @@ LiteCore::wakeWarp(WarpId warp)
     }
 }
 
-std::optional<mem::MemRequestPtr>
-LiteCore::takeOutbound()
-{
-    auto req = outbound_.tryPop();
-    // The caller is the interconnect: from here the request is on the
-    // wire (the crossbar's inject() self-transitions InNoc -> InNoc).
-    DCL1_CHECK_ONLY({
-        if (req)
-            check::ledger().onTransition(**req, check::ReqStage::InNoc);
-    });
-    return req;
-}
-
 void
 LiteCore::deliverReply(mem::MemRequestPtr reply, Cycle now)
 {
@@ -285,15 +264,13 @@ LiteCore::deliverReply(mem::MemRequestPtr reply, Cycle now)
         return;
     }
 
-    DCL1_CHECK_ONLY(check::ledger().onRetire(*reply));
+    mem::retire(*reply, now, tlm_);
     if (reply->isWrite()) {
         if (outstandingWrites_ == 0)
             panic("core %u: write ACK underflow", params_.id);
         --outstandingWrites_;
         return;
     }
-    if (tlm_)
-        tlm_->onRetire(reply->tlm, now);
     readLatencySum_ += now - reply->createdAt;
     if (reply->l1ServiceAt >= reply->createdAt)
         preServiceSum_ += reply->l1ServiceAt - reply->createdAt;

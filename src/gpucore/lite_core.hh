@@ -121,8 +121,12 @@ class LiteCore
 
     /// @name NoC-facing side
     /// @{
-    /** Pop a request bound for the interconnect. */
-    std::optional<mem::MemRequestPtr> takeOutbound();
+    /** Pop a request bound for the interconnect, which hands it over
+     *  to a network (mem::handoff). */
+    std::optional<mem::MemRequestPtr> takeOutbound()
+    {
+        return outbound_.tryPop();
+    }
     bool hasOutbound() const { return !outbound_.empty(); }
     /** Deliver a reply from the interconnect. */
     void deliverReply(mem::MemRequestPtr reply, Cycle now);

@@ -1,7 +1,6 @@
 #include "mem/cache_bank.hh"
 
 #include "check/check.hh"
-#include "check/request_ledger.hh"
 #include "common/log.hh"
 
 namespace dcl1::mem
@@ -54,7 +53,7 @@ CacheBank::scheduleCompletion(MemRequestPtr req, Cycle ready)
 }
 
 void
-CacheBank::installLine(LineAddr line, bool dirty)
+CacheBank::installLine(LineAddr line, bool dirty, Cycle now)
 {
     if (tags_.contains(line))
         return; // e.g. write-validate raced with an in-flight fetch
@@ -72,10 +71,10 @@ CacheBank::installLine(LineAddr line, bool dirty)
             wb->payloadBytes = params_.lineBytes;
             wb->core = invalidId;
             wb->fetchDepth = 0;
+            wb->createdAt = now;
             // Writebacks are born inside this cache and audited like
             // any other request until DRAM absorbs them.
-            DCL1_CHECK_ONLY(check::ledger().onCreate(
-                *wb, 0, check::ReqStage::AtCache));
+            create(*wb, params_.custody, now);
             pendingWritebacks_.push_back(std::move(wb));
             ++writebacks_;
         }
@@ -120,9 +119,7 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
     lastPortCycle_ = now;
     ++accesses_;
     req->l1ServiceAt = now;
-    stats::tlmEnter(req->tlm, params_.tlmSeg, now);
-    DCL1_CHECK_ONLY(
-        check::ledger().onTransition(*req, check::ReqStage::AtCache));
+    handoff(*req, params_.custody, now);
 
     if (write) {
         ++writeAccesses_;
@@ -148,7 +145,7 @@ CacheBank::access(MemRequestPtr &req, Cycle now)
             tags_.markDirty(line);
         } else {
             ++misses_;
-            installLine(line, /*dirty=*/true);
+            installLine(line, /*dirty=*/true, now);
         }
         req->isReply = true;
         req->payloadBytes = 0;
@@ -234,9 +231,7 @@ CacheBank::fill(MemRequestPtr reply, Cycle now)
 {
     // The reply (from a NoC, a DRAM channel, or a surrounding node's
     // Q4) is now inside this cache level.
-    DCL1_CHECK_ONLY(
-        check::ledger().onTransition(*reply, check::ReqStage::AtCache));
-    stats::tlmEnter(reply->tlm, params_.tlmSeg, now);
+    handoff(*reply, params_.custody, now);
     if (reply->isWrite()) {
         // Write-through ACK (WriteEvict): complete the original write.
         scheduleCompletion(std::move(reply), now);
@@ -253,7 +248,7 @@ CacheBank::fill(MemRequestPtr reply, Cycle now)
     if (reply->op == MemOp::Read ||
         (reply->op == MemOp::Bypass &&
          params_.policy == WritePolicy::WriteBack)) {
-        installLine(line, /*dirty=*/false);
+        installLine(line, /*dirty=*/false, now);
     }
 
     ++dbgFillsReceived;
@@ -272,6 +267,7 @@ CacheBank::fill(MemRequestPtr reply, Cycle now)
     // Fan the merged targets out through the port, one per cycle.
     Cycle ready = now;
     for (auto &t : targets) {
+        handoff(*t, params_.custody); // released by the MSHR
         ++ready;
         t->isReply = true;
         t->payloadBytes = t->isFetch() ? params_.lineBytes : t->bytes;

@@ -66,9 +66,10 @@ struct CacheBankParams
     ReplPolicy repl = ReplPolicy::Lru;   ///< victim selection
     bool perfect = false;                ///< 100 % hit rate (reads)
 
-    /** Latency-attribution segment this bank's time is charged to
-     *  (Cache for L1/DC-L1 banks, L2 for the L2 slices). */
-    stats::Seg tlmSeg = stats::Seg::Cache;
+    /** Custody a request in this bank is in, and so the attribution
+     *  segment its time is charged to (Cache for L1/DC-L1 banks, L2
+     *  for the L2 slices). */
+    stats::Custody custody = stats::Custody::Cache;
 
     std::uint32_t
     numSets() const
@@ -150,7 +151,7 @@ class CacheBank
 
   private:
     void scheduleCompletion(MemRequestPtr req, Cycle ready);
-    void installLine(LineAddr line, bool dirty);
+    void installLine(LineAddr line, bool dirty, Cycle now);
 
     CacheBankParams params_;
     std::uint32_t cacheId_;

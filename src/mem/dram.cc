@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/check.hh"
-#include "check/request_ledger.hh"
 #include "common/log.hh"
 #include "prof/prof.hh"
 
@@ -49,9 +48,7 @@ DramChannel::push(MemRequestPtr req, Cycle now)
 {
     if (!canAccept())
         panic("dram %s: push to full queue", params_.name.c_str());
-    DCL1_CHECK_ONLY(
-        check::ledger().onTransition(*req, check::ReqStage::AtDram));
-    stats::tlmEnter(req->tlm, stats::Seg::Dram, now);
+    handoff(*req, stats::Custody::Dram, now);
     queue_.push_back(Queued{std::move(req), now});
 }
 
@@ -115,7 +112,7 @@ DramChannel::tick(Cycle now)
         if (req->core == invalidId) {
             // L2 writeback: fire-and-forget, no reply. This is the
             // end of the writeback's life.
-            DCL1_CHECK_ONLY(check::ledger().onRetire(*req));
+            retire(*req, now);
             return;
         }
         // Write-through from an L1/DC-L1: ACK when the data lands.

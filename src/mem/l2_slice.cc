@@ -1,7 +1,6 @@
 #include "mem/l2_slice.hh"
 
 #include "check/check.hh"
-#include "check/request_ledger.hh"
 #include "common/log.hh"
 
 namespace dcl1::mem
@@ -33,9 +32,7 @@ L2Slice::pushRequest(MemRequestPtr req, Cycle now)
 {
     if (!input_.canPush())
         panic("L2Slice %u: push to full input queue", sliceId_);
-    DCL1_CHECK_ONLY(
-        check::ledger().onTransition(*req, check::ReqStage::AtCache));
-    stats::tlmEnter(req->tlm, stats::Seg::L2, now);
+    handoff(*req, stats::Custody::L2, now);
     input_.push(std::move(req));
 }
 
@@ -67,7 +64,7 @@ L2Slice::tick(Cycle now)
             break;
         if ((*done)->core == invalidId) {
             // Upstream writeback absorbed by the L2: end of its life.
-            DCL1_CHECK_ONLY(check::ledger().onRetire(**done));
+            retire(**done, now);
             continue;
         }
         replies_.push(std::move(*done));

@@ -36,8 +36,7 @@ Mshr::registerMiss(LineAddr line, MemRequestPtr &req)
         // fine (the L2 does it constantly); only this entry's own
         // primary fetch must never come back, and it never re-enters
         // registerMiss because the owning bank holds it downstream.
-        DCL1_CHECK_ONLY(
-            check::ledger().onTransition(*req, check::ReqStage::InMshr));
+        handoff(*req, stats::Custody::Mshr);
         e.targets.push_back(std::move(req));
         ++e.totalTargets;
         DCL1_ASSERT(e.totalTargets == e.targets.size() + 1,
@@ -72,10 +71,6 @@ Mshr::completeFetch(LineAddr line)
                 static_cast<unsigned long long>(line));
     std::vector<MemRequestPtr> targets = std::move(it->second.targets);
     entries_.erase(it);
-    // Released targets are back inside the owning cache, which fans
-    // them out through its completion port.
-    DCL1_CHECK_ONLY(for (const auto &t : targets) check::ledger()
-                        .onTransition(*t, check::ReqStage::AtCache));
     return targets;
 }
 

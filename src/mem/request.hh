@@ -6,6 +6,10 @@
  * (DC-)L1, the NoCs, the L2 and possibly DRAM, and is turned around in
  * place as a reply. Ownership is a unique_ptr moved from queue to queue;
  * MSHR merging stores secondary requests inside the MSHR entry.
+ * Custody goes through three calls at the bottom of this file, which
+ * feed both the request ledger and latency attribution: create() where
+ * a request is born, handoff() where a component takes it over,
+ * retire() where it is consumed (see stats::Custody).
  */
 
 #ifndef DCL1_MEM_REQUEST_HH
@@ -14,6 +18,8 @@
 #include <cstdint>
 #include <memory>
 
+#include "check/check.hh"
+#include "check/request_ledger.hh"
 #include "common/types.hh"
 #include "prof/prof.hh"
 #include "stats/latency_attr.hh"
@@ -83,18 +89,10 @@ struct MemRequest
      */
     std::uint8_t fetchDepth = 0;
 
-    /**
-     * check::RequestLedger sequence number; 0 = untracked. Assigned at
-     * registration, used to audit the request's lifecycle state
-     * machine (see check/request_ledger.hh).
-     */
+    /** check::RequestLedger sequence number; 0 = untracked. */
     std::uint64_t chkSeq = 0;
 
-    /**
-     * Latency-attribution state; dormant (sampleId == 0) unless this
-     * request was picked by the system's LatencyAttribution sampler
-     * (see stats/latency_attr.hh).
-     */
+    /** Latency-attribution state; dormant unless sampled. */
     stats::ReqTelemetry tlm;
 
     bool isFetch() const { return fetchDepth > 0; }
@@ -132,6 +130,48 @@ makeRequest(MemOp op, Addr addr, std::uint32_t bytes, CoreId core,
     r->warp = warp;
     r->createdAt = now;
     return r;
+}
+
+/**
+ * Register @p req, born at @p now in custody @p at (Issue at a core,
+ * the owning level for a writeback). With @p attr, a read-class
+ * request may be sampled for attribution.
+ */
+inline void
+create(MemRequest &req, [[maybe_unused]] stats::Custody at, Cycle now,
+       stats::LatencyAttribution *attr = nullptr)
+{
+    DCL1_CHECK_ONLY(check::ledger().onCreate(req, now, at));
+    if (attr && !req.isWrite())
+        attr->onCreate(req.tlm, now);
+}
+
+/** A ledger-only move: an MSHR merging @p req, or its cache taking it
+ *  back. Merged time stays billed to the cache's segment. */
+inline void
+handoff([[maybe_unused]] MemRequest &req,
+        [[maybe_unused]] stats::Custody to)
+{
+    DCL1_CHECK_ONLY(check::ledger().onTransition(req, to));
+}
+
+/** Hand @p req to custody @p to, an attribution segment, at @p now. */
+inline void
+handoff(MemRequest &req, stats::Custody to, Cycle now)
+{
+    DCL1_ASSERT(static_cast<std::size_t>(to) < stats::kNumSegs,
+                "handoff: %s is no segment", stats::custodyName(to));
+    handoff(req, to);
+    stats::detail::enter(req.tlm, to, now);
+}
+
+/** Consume @p req at @p now; @p attr deposits a sampled read. */
+inline void
+retire(MemRequest &req, Cycle now, stats::LatencyAttribution *attr = nullptr)
+{
+    DCL1_CHECK_ONLY(check::ledger().onRetire(req));
+    if (attr)
+        attr->onRetire(req.tlm, now);
 }
 
 } // namespace dcl1::mem

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/check.hh"
-#include "check/request_ledger.hh"
 #include "common/log.hh"
 #include "prof/prof.hh"
 
@@ -96,9 +95,6 @@ Crossbar::inject(Packet pkt)
 
     pkt.injectedAt = nocCycle_;
     DCL1_CHECK_ONLY({
-        if (pkt.req)
-            check::ledger().onTransition(*pkt.req,
-                                         check::ReqStage::InNoc);
         ++chkInjectedPkts_;
         chkInjectedFlits_ += pkt.flits;
     });

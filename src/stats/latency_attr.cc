@@ -7,38 +7,27 @@ namespace dcl1::stats
 {
 
 const char *
-segName(Seg s)
+custodyName(Custody c)
 {
-    switch (s) {
-      case Seg::Issue:
-        return "issue";
-      case Seg::NocReq:
-        return "noc-req";
-      case Seg::Cache:
-        return "cache";
-      case Seg::L2:
-        return "l2";
-      case Seg::Dram:
-        return "dram";
-      case Seg::NocReply:
-        return "noc-reply";
-    }
-    return "unknown";
+    static constexpr const char *kNames[kNumCustody] = {
+        "issue", "noc-req",   "cache", "l2",
+        "dram",  "noc-reply", "mshr",  "retired"};
+    return kNames[static_cast<std::size_t>(c)];
 }
 
 void
-tlmEnterSlow(ReqTelemetry &t, Seg s, Cycle now)
+detail::enterSlow(ReqTelemetry &t, Custody s, Cycle now)
 {
     if (now > t.lastStamp) {
         const Cycle span = now - t.lastStamp;
-        t.segCycles[t.curSeg] += static_cast<std::uint32_t>(span);
+        t.segCycles[static_cast<std::size_t>(t.curSeg)] +=
+            static_cast<std::uint32_t>(span);
         if (TraceExport *trace = tlsTraceSink())
-            trace->reqSlice(t.sampleId,
-                            segName(static_cast<Seg>(t.curSeg)),
+            trace->reqSlice(t.sampleId, custodyName(t.curSeg),
                             t.lastStamp, now);
     }
     t.lastStamp = now;
-    t.curSeg = static_cast<std::uint8_t>(s);
+    t.curSeg = s;
 }
 
 namespace
@@ -68,7 +57,7 @@ LatencyAttribution::LatencyAttribution(std::uint64_t seed,
       totalDist_(kTotalBucketWidth, kTotalBuckets), group_("latency")
 {
     for (std::size_t i = 0; i < kNumSegs; ++i)
-        group_.addDistribution(segName(static_cast<Seg>(i)),
+        group_.addDistribution(custodyName(static_cast<Custody>(i)),
                                &segDists_[i]);
     group_.addDistribution("total", &totalDist_);
 }
@@ -82,7 +71,7 @@ LatencyAttribution::onCreate(ReqTelemetry &t, Cycle now)
     if (sampleEvery_ > 1 && rng_.below(sampleEvery_) != 0)
         return;
     t.sampleId = ++nextId_;
-    t.curSeg = static_cast<std::uint8_t>(Seg::Issue);
+    t.curSeg = Custody::Issue;
     t.lastStamp = now;
     t.segCycles.fill(0);
 }
@@ -93,7 +82,7 @@ LatencyAttribution::onRetire(ReqTelemetry &t, Cycle now)
     if (t.sampleId == 0)
         return;
     // Close the span the request was in when it completed.
-    tlmEnterSlow(t, static_cast<Seg>(t.curSeg), now);
+    detail::enterSlow(t, t.curSeg, now);
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < kNumSegs; ++i) {
         if (t.segCycles[i] != 0)
@@ -127,7 +116,7 @@ LatencyAttribution::printBreakdown(std::ostream &os) const
         // so the column sums to the total round trip.
         const double contrib = double(d.sum()) / double(n);
         os << csprintf("  %-10s %9.1f %6.1f%% %8.1f %8.1f %8.1f\n",
-                       segName(static_cast<Seg>(i)), contrib,
+                       custodyName(static_cast<Custody>(i)), contrib,
                        total_mean > 0.0 ? 100.0 * contrib / total_mean
                                         : 0.0,
                        d.percentile(50), d.percentile(95),

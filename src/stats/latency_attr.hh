@@ -1,23 +1,25 @@
 /**
  * @file
- * Request-latency attribution.
+ * The request custody chain and request-latency attribution.
  *
- * Splits a memory request's round trip into pipeline segments (core
- * issue -> NoC request -> cache/MSHR -> L2 -> DRAM -> NoC reply ->
- * retire) by accumulating cycles *per segment* instead of recording a
- * fixed stage order: every component that takes custody of a request
- * calls tlmEnter() with its segment, which closes the span the request
- * spent in the previous segment. Revisits (e.g. the reply passing back
- * through a cache) simply accumulate more cycles into that segment, so
- * the scheme is topology-agnostic and the per-segment cycles always sum
- * exactly to retire - issue.
+ * Custody names who holds a request (core issue -> NoC request ->
+ * cache/MSHR -> L2 -> DRAM -> NoC reply -> retire). The custody calls
+ * in mem/request.hh feed it to the request ledger, which audits every
+ * move in checked builds, and to attribution here.
  *
- * Overhead discipline: ReqTelemetry rides inside MemRequest and
- * tlmEnter() is a single load-and-branch when the request is unsampled
- * (sampleId == 0), which is also the state of every request when
- * attribution is disabled. Sampling (1-in-N) is driven by a private
- * Rng seeded from the simulation seed — never wall clock — so same-seed
- * runs attribute the same requests.
+ * Attribution splits a sampled read's round trip over the first
+ * kNumSegs custody values by accumulating cycles *per segment*: each
+ * handoff closes the span spent in the previous segment. Revisits
+ * (e.g. the reply passing back through a cache) accumulate into the
+ * same segment, so the scheme is topology-agnostic and the segments
+ * always sum exactly to retire - issue.
+ *
+ * Overhead discipline: ReqTelemetry rides inside MemRequest and a
+ * handoff's attribution step is a single load-and-branch when the
+ * request is unsampled (sampleId == 0), which is also the state of
+ * every request when attribution is disabled. Sampling (1-in-N) is
+ * driven by a private Rng seeded from the simulation seed — never wall
+ * clock — so same-seed runs attribute the same requests.
  */
 
 #ifndef DCL1_STATS_LATENCY_ATTR_HH
@@ -34,21 +36,25 @@
 namespace dcl1::stats
 {
 
-/** Pipeline segment a request can spend cycles in. */
-enum class Seg : std::uint8_t
+/** Who holds a request (see file comment). */
+enum class Custody : std::uint8_t
 {
-    Issue,    ///< core-side queueing before entering the NoC
+    Issue,    ///< created; core-side queueing before entering the NoC
     NocReq,   ///< request-network traversal
     Cache,    ///< L1 / DC-L1 port, MSHR and node queues
     L2,       ///< L2 slice input queue + bank
     Dram,     ///< DRAM channel queue + service
     NocReply, ///< reply-network traversal back to the core
+    Mshr,     ///< merged target in an MSHR entry (billed to its cache)
+    Retired,  ///< consumed: reply delivered, write ACKed, WB absorbed
 };
 
+/** The first kNumSegs custody values are attribution segments. */
 constexpr std::size_t kNumSegs = 6;
+constexpr std::size_t kNumCustody = 8;
 
-/** Stable display name ("issue", "noc-req", ...). */
-const char *segName(Seg s);
+/** Stable display name ("issue", "noc-req", ..., "retired"). */
+const char *custodyName(Custody c);
 
 /**
  * Per-request attribution state, embedded in MemRequest. Sixteen-byte
@@ -58,30 +64,35 @@ const char *segName(Seg s);
 struct ReqTelemetry
 {
     std::uint32_t sampleId = 0; ///< 0 = unsampled (the common case)
-    std::uint8_t curSeg = 0;    ///< segment currently accumulating
+    Custody curSeg = Custody::Issue; ///< segment now accumulating
     Cycle lastStamp = 0;        ///< cycle the current segment began
     std::array<std::uint32_t, kNumSegs> segCycles{};
 };
 
+namespace detail
+{
+
 /** Out-of-line slow path: close the previous segment's span. */
-void tlmEnterSlow(ReqTelemetry &t, Seg s, Cycle now);
+void enterSlow(ReqTelemetry &t, Custody s, Cycle now);
 
 /**
- * Mark the request as entering segment @p s at cycle @p now. The
- * no-telemetry fast path is one branch on a field that is already in
- * cache next to the request's routing state.
+ * Enter segment @p s at cycle @p now; reached only through
+ * mem::handoff. The no-telemetry fast path is one branch on a field
+ * already in cache next to the request's routing state.
  */
 inline void
-tlmEnter(ReqTelemetry &t, Seg s, Cycle now)
+enter(ReqTelemetry &t, Custody s, Cycle now)
 {
     if (t.sampleId != 0)
-        tlmEnterSlow(t, s, now);
+        enterSlow(t, s, now);
 }
+
+} // namespace detail
 
 /**
  * Owns the per-segment latency Distributions and the sampling policy.
- * One instance per GpuSystem; cores call onCreate/onRetire, everything
- * in between stamps through the free tlmEnter().
+ * One instance per GpuSystem; mem::create and mem::retire call
+ * onCreate/onRetire, and every mem::handoff in between stamps.
  */
 class LatencyAttribution
 {
@@ -102,7 +113,7 @@ class LatencyAttribution
     void reset();
 
     StatGroup &statGroup() { return group_; }
-    const Distribution &segment(Seg s) const
+    const Distribution &segment(Custody s) const
     {
         return segDists_[static_cast<std::size_t>(s)];
     }

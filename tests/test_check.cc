@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <ostream>
 
 #include "check/check.hh"
@@ -14,6 +15,7 @@
 #include "check/request_ledger.hh"
 #include "core/design.hh"
 #include "core/gpu_system.hh"
+#include "mem/cache_bank.hh"
 #include "mem/queues.hh"
 #include "mem/request.hh"
 
@@ -39,6 +41,8 @@ namespace
 using namespace dcl1;
 using namespace dcl1::core;
 
+using stats::Custody;
+
 /** Resets shared ledger state so tests cannot pollute each other. */
 class LedgerTest : public ::testing::Test
 {
@@ -63,12 +67,13 @@ class LedgerTest : public ::testing::Test
     tracked(Addr addr = 0x1000)
     {
         auto req = mem::makeRequest(mem::MemOp::Read, addr, 4, 0, 0, 0);
-        check::ledger().onCreate(*req, 0);
+        mem::create(*req, Custody::Issue, 0);
         return req;
     }
 };
 
 using LedgerDeathTest = LedgerTest;
+using mem::handoff;
 
 TEST_F(LedgerTest, HappyPathLifecycle)
 {
@@ -76,12 +81,12 @@ TEST_F(LedgerTest, HappyPathLifecycle)
     EXPECT_NE(req->chkSeq, 0u);
     EXPECT_EQ(check::ledger().liveCount(), 1u);
 
-    check::ledger().onTransition(*req, check::ReqStage::InNoc);
-    check::ledger().onTransition(*req, check::ReqStage::AtCache);
-    check::ledger().onTransition(*req, check::ReqStage::AtDram);
-    check::ledger().onTransition(*req, check::ReqStage::AtCache);
-    check::ledger().onTransition(*req, check::ReqStage::InNoc);
-    check::ledger().onRetire(*req);
+    handoff(*req, Custody::NocReq);
+    handoff(*req, Custody::L2);
+    handoff(*req, Custody::Dram);
+    handoff(*req, Custody::L2);
+    handoff(*req, Custody::NocReply);
+    mem::retire(*req, 0);
 
     EXPECT_EQ(check::ledger().liveCount(), 0u);
     check::ledger().audit("happy-path"); // must not panic
@@ -91,16 +96,16 @@ TEST_F(LedgerTest, HappyPathLifecycle)
 TEST_F(LedgerTest, EventRingRecordsLifecycleForCrashForensics)
 {
     auto req = tracked(0x1f80);
-    check::ledger().onTransition(*req, check::ReqStage::InNoc);
-    check::ledger().onRetire(*req);
+    handoff(*req, Custody::NocReq);
+    mem::retire(*req, 0);
 
     const std::string json = check::ledger().recentEventsJson();
     EXPECT_NE(json.find("\"ev\":\"create\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"ev\":\"transition\""), std::string::npos);
     EXPECT_NE(json.find("\"ev\":\"retire\""), std::string::npos);
-    EXPECT_NE(json.find("\"from\":\"Issued\",\"to\":\"InNoc\""),
+    EXPECT_NE(json.find("\"from\":\"issue\",\"to\":\"noc-req\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"to\":\"Retired\""), std::string::npos);
+    EXPECT_NE(json.find("\"to\":\"retired\""), std::string::npos);
     EXPECT_NE(json.find("\"addr\":\"0x1f80\""), std::string::npos);
     req.reset();
 
@@ -108,8 +113,8 @@ TEST_F(LedgerTest, EventRingRecordsLifecycleForCrashForensics)
     // many more lifecycles the early request's events are gone.
     for (int i = 0; i < 40; ++i) {
         auto r2 = tracked(0x4000 + Addr(i) * 0x80);
-        check::ledger().onTransition(*r2, check::ReqStage::InNoc);
-        check::ledger().onRetire(*r2);
+        handoff(*r2, Custody::NocReq);
+        mem::retire(*r2, 0);
         r2.reset();
     }
     const std::string later = check::ledger().recentEventsJson();
@@ -124,53 +129,50 @@ TEST_F(LedgerTest, UntrackedRequestsAreIgnored)
 {
     auto req = mem::makeRequest(mem::MemOp::Read, 0x2000, 4, 0, 0, 0);
     ASSERT_EQ(req->chkSeq, 0u);
-    check::ledger().onTransition(*req, check::ReqStage::AtDram);
-    check::ledger().onRetire(*req);
+    handoff(*req, Custody::Dram);
+    mem::retire(*req, 0);
     EXPECT_EQ(check::ledger().liveCount(), 0u);
 }
 
 TEST_F(LedgerDeathTest, DoubleRegistrationPanics)
 {
     auto req = tracked();
-    EXPECT_DEATH(check::ledger().onCreate(*req, 0), "registered twice");
+    EXPECT_DEATH(mem::create(*req, Custody::Issue, 0), "registered twice");
 }
 
 TEST_F(LedgerDeathTest, IllegalTransitionPanics)
 {
     // A request cannot teleport from its core straight into DRAM.
     auto req = tracked();
-    EXPECT_DEATH(
-        check::ledger().onTransition(*req, check::ReqStage::AtDram),
-        "illegal transition Issued -> AtDram");
+    EXPECT_DEATH(handoff(*req, Custody::Dram),
+                 "illegal transition issue -> dram");
 }
 
 TEST_F(LedgerDeathTest, MshrDoubleMergePanics)
 {
     // Re-merging an already merged request is the classic MSHR bug.
     auto req = tracked();
-    check::ledger().onTransition(*req, check::ReqStage::AtCache);
-    check::ledger().onTransition(*req, check::ReqStage::InMshr);
-    EXPECT_DEATH(
-        check::ledger().onTransition(*req, check::ReqStage::InMshr),
-        "illegal transition InMshr -> InMshr");
+    handoff(*req, Custody::Cache);
+    handoff(*req, Custody::Mshr);
+    EXPECT_DEATH(handoff(*req, Custody::Mshr),
+                 "illegal transition mshr -> mshr");
 }
 
 TEST_F(LedgerDeathTest, UseAfterRetirePanics)
 {
     auto req = tracked();
-    check::ledger().onTransition(*req, check::ReqStage::InNoc);
-    check::ledger().onRetire(*req);
-    EXPECT_DEATH(
-        check::ledger().onTransition(*req, check::ReqStage::AtCache),
-        "illegal transition Retired -> AtCache");
+    handoff(*req, Custody::NocReq);
+    mem::retire(*req, 0);
+    EXPECT_DEATH(handoff(*req, Custody::Cache),
+                 "illegal transition retired -> cache");
 }
 
 TEST_F(LedgerDeathTest, DoubleRetirePanics)
 {
     auto req = tracked();
-    check::ledger().onTransition(*req, check::ReqStage::InNoc);
-    check::ledger().onRetire(*req);
-    EXPECT_DEATH(check::ledger().onRetire(*req), "double retire");
+    handoff(*req, Custody::NocReq);
+    mem::retire(*req, 0);
+    EXPECT_DEATH(mem::retire(*req, 0), "double retire");
 }
 
 TEST_F(LedgerDeathTest, RetireFromIllegalStagePanics)
@@ -178,10 +180,9 @@ TEST_F(LedgerDeathTest, RetireFromIllegalStagePanics)
     // Consuming a request that is still merged inside an MSHR entry
     // would duplicate (or lose) the eventual fill.
     auto req = tracked();
-    check::ledger().onTransition(*req, check::ReqStage::AtCache);
-    check::ledger().onTransition(*req, check::ReqStage::InMshr);
-    EXPECT_DEATH(check::ledger().onRetire(*req),
-                 "retire from illegal stage InMshr");
+    handoff(*req, Custody::Cache);
+    handoff(*req, Custody::Mshr);
+    EXPECT_DEATH(mem::retire(*req, 0), "retire from illegal stage mshr");
 }
 
 TEST_F(LedgerDeathTest, StrictDestroyCatchesLeaks)
@@ -195,9 +196,34 @@ TEST_F(LedgerDeathTest, StrictDestroyCatchesLeaks)
 TEST_F(LedgerDeathTest, AuditReportsLiveRequests)
 {
     auto req = tracked();
-    check::ledger().onTransition(*req, check::ReqStage::InNoc);
+    handoff(*req, Custody::NocReq);
     EXPECT_DEATH(check::ledger().audit("unit-test"),
                  "1 request\\(s\\) still live");
+}
+
+TEST_F(LedgerDeathTest, WritebackIsBornAtItsEvictionCycle)
+{
+    // A one-set, one-way write-back bank: the second write evicts the
+    // first, dirty, line and creates its writeback at that cycle.
+    mem::CacheBankParams p;
+    p.sizeBytes = 128;
+    p.assoc = 1;
+    p.lineBytes = 128;
+    p.policy = mem::WritePolicy::WriteBack;
+    p.custody = Custody::L2;
+    mem::CacheBank bank(p);
+    constexpr Cycle kEvictAt = 37;
+    for (const Cycle now : {Cycle(5), kEvictAt}) {
+        auto w = mem::makeRequest(mem::MemOp::Write, now * 0x80, 32, 0,
+                                  0, now);
+        ASSERT_EQ(bank.access(w, now), mem::AccessOutcome::Hit);
+    }
+    auto wb = bank.takeDownstream(); // stays live below
+    ASSERT_TRUE(wb.has_value());
+    EXPECT_EQ((*wb)->createdAt, kEvictAt);
+    EXPECT_EQ(check::ledger().liveCount(), 1u);
+    EXPECT_DEATH(check::ledger().audit("unit-test"),
+                 "stuck in stage l2 since cycle 37");
 }
 
 TEST(BoundedQueueDeathTest, OverflowPushPanics)
@@ -219,24 +245,62 @@ TEST(BoundedQueueDeathTest, EmptyPopPanics)
 
 /**
  * End-to-end meta-check: a full simulation must actually exercise the
- * instrumentation (hooks wired, requests registered and retired) and
- * finish with a clean system-wide audit.
+ * instrumentation (every handoff site wired, requests registered and
+ * retired) and finish with a clean system-wide audit.
  */
-TEST(CheckIntegration, SimulationIsAudited)
+class CheckIntegration : public ::testing::TestWithParam<DesignConfig>
+{
+};
+
+/** Mostly shared data, so cores' misses merge in L1 and L2 MSHRs. */
+workload::WorkloadParams
+sharingApp()
+{
+    workload::WorkloadParams p;
+    p.name = "sharing-app";
+    p.sharedLines = 800;
+    p.sharedFrac = 0.9;
+    p.coalescedAccesses = 2;
+    return p;
+}
+
+TEST_P(CheckIntegration, SimulationIsAudited)
 {
     if (!check::checksCompiledIn)
         GTEST_SKIP() << "built with DCL1_CHECK=OFF";
-    const std::uint64_t reg_before = check::ledger().registered();
+    const check::RequestLedger &ledger = check::ledger();
+    std::array<std::uint64_t, stats::kNumCustody> before{};
+    for (std::size_t i = 0; i < stats::kNumCustody; ++i)
+        before[i] = ledger.entered(static_cast<Custody>(i));
+    const std::uint64_t reg_before = ledger.registered();
 
-    GpuSystem gpu(SystemConfig(), privateDcl1(40),
-                  workload::WorkloadParams());
+    GpuSystem gpu(SystemConfig(), GetParam(), sharingApp());
     gpu.run(2000, 500);
-    EXPECT_GT(check::ledger().registered(), reg_before);
-    EXPECT_GT(check::ledger().retired(), 0u);
+    EXPECT_GT(ledger.registered(), reg_before);
 
     gpu.checkInvariants("test");
     EXPECT_TRUE(gpu.drain()); // drain() runs the ledger leak audit
+
+    // Every design walks requests through each custody, MSHR merges
+    // included: a dropped handoff site shows up as a zero here.
+    for (std::size_t i = 0; i < stats::kNumCustody; ++i) {
+        const auto c = static_cast<Custody>(i);
+        EXPECT_GT(ledger.entered(c), before[i]) << stats::custodyName(c);
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, CheckIntegration,
+    ::testing::Values(baselineDesign(), privateDcl1(40), sharedDcl1(40),
+                      clusteredDcl1(40, 10, true),
+                      cdxbarDesign(false, false)),
+    [](const ::testing::TestParamInfo<DesignConfig> &info) {
+        std::string name = info.param.name;
+        for (char &c : name)
+            if (!isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name;
+    });
 
 /** Same-seed determinism across the paper's headline design points. */
 class DeterminismTest : public ::testing::TestWithParam<DesignConfig>

@@ -46,7 +46,7 @@ TEST(DcL1Node, ReadMissFlowsQ1ToQ3)
 {
     DcL1Node node(nodeCache(), 0, 4);
     ASSERT_TRUE(node.canAcceptFromCore());
-    node.pushFromCore(read(0x1000));
+    node.pushFromCore(read(0x1000), 0);
     Cycle now = 0;
     node.tick(++now);
     node.tick(++now);
@@ -58,7 +58,7 @@ TEST(DcL1Node, ReadMissFlowsQ1ToQ3)
 TEST(DcL1Node, FillProducesReplyWithRequestedBytesOnly)
 {
     DcL1Node node(nodeCache(), 0, 4);
-    node.pushFromCore(read(0x1000));
+    node.pushFromCore(read(0x1000), 0);
     Cycle now = 0;
     node.tick(++now);
     node.tick(++now);
@@ -67,7 +67,7 @@ TEST(DcL1Node, FillProducesReplyWithRequestedBytesOnly)
 
     (*fetch)->isReply = true;
     (*fetch)->payloadBytes = 128; // L2 returned the full line
-    node.pushFromMem(std::move(*fetch));
+    node.pushFromMem(std::move(*fetch), now);
 
     auto reply = runUntilReply(node, now, now + 20);
     ASSERT_TRUE(reply);
@@ -82,17 +82,17 @@ TEST(DcL1Node, HitServedLocally)
     DcL1Node node(nodeCache(), 0, 4);
     Cycle now = 0;
     // Warm the line.
-    node.pushFromCore(read(0x2000));
+    node.pushFromCore(read(0x2000), now);
     node.tick(++now);
     node.tick(++now);
     auto fetch = node.takeToMem();
     (*fetch)->isReply = true;
     (*fetch)->payloadBytes = 128;
-    node.pushFromMem(std::move(*fetch));
+    node.pushFromMem(std::move(*fetch), now);
     ASSERT_TRUE(runUntilReply(node, now, now + 20));
 
     // A second read hits and never reaches Q3.
-    node.pushFromCore(read(0x2000, 3));
+    node.pushFromCore(read(0x2000, 3), now);
     auto reply = runUntilReply(node, now, now + 20);
     ASSERT_TRUE(reply);
     EXPECT_EQ(reply->core, 3u);
@@ -104,7 +104,7 @@ TEST(DcL1Node, BypassSkipsCache)
 {
     DcL1Node node(nodeCache(), 0, 4);
     auto r = makeRequest(MemOp::Bypass, 0x9000, 128, 2, 0, 0);
-    node.pushFromCore(std::move(r));
+    node.pushFromCore(std::move(r), 0);
     Cycle now = 0;
     node.tick(++now);
     auto out = node.takeToMem();
@@ -115,7 +115,7 @@ TEST(DcL1Node, BypassSkipsCache)
 
     // The bypass reply moves Q4 -> Q2 without touching the cache.
     (*out)->isReply = true;
-    node.pushFromMem(std::move(*out));
+    node.pushFromMem(std::move(*out), now);
     auto reply = runUntilReply(node, now, now + 10);
     ASSERT_TRUE(reply);
     EXPECT_TRUE(reply->isBypass());
@@ -125,7 +125,8 @@ TEST(DcL1Node, BypassSkipsCache)
 TEST(DcL1Node, AtomicSkipsCache)
 {
     DcL1Node node(nodeCache(), 0, 4);
-    node.pushFromCore(makeRequest(MemOp::Atomic, 0x100, 32, 1, 0, 0));
+    node.pushFromCore(makeRequest(MemOp::Atomic, 0x100, 32, 1, 0, 0),
+                      0);
     Cycle now = 0;
     node.tick(++now);
     auto out = node.takeToMem();
@@ -139,17 +140,18 @@ TEST(DcL1Node, WriteEvictFlow)
     DcL1Node node(nodeCache(), 0, 4);
     Cycle now = 0;
     // Warm a line.
-    node.pushFromCore(read(0x3000));
+    node.pushFromCore(read(0x3000), now);
     node.tick(++now);
     node.tick(++now);
     auto f = node.takeToMem();
     (*f)->isReply = true;
     (*f)->payloadBytes = 128;
-    node.pushFromMem(std::move(*f));
+    node.pushFromMem(std::move(*f), now);
     runUntilReply(node, now, now + 20);
 
     // Write hit: evicts the line and forwards the write to Q3.
-    node.pushFromCore(makeRequest(MemOp::Write, 0x3000, 32, 0, 0, now));
+    node.pushFromCore(makeRequest(MemOp::Write, 0x3000, 32, 0, 0, now),
+                      now);
     node.tick(++now);
     node.tick(++now);
     EXPECT_FALSE(node.cache().tags().contains(0x3000 / 128));
@@ -160,7 +162,7 @@ TEST(DcL1Node, WriteEvictFlow)
     // The write ACK returns through Q4 to Q2.
     (*w)->isReply = true;
     (*w)->payloadBytes = 0;
-    node.pushFromMem(std::move(*w));
+    node.pushFromMem(std::move(*w), now);
     auto ack = runUntilReply(node, now, now + 10);
     ASSERT_TRUE(ack);
     EXPECT_TRUE(ack->isWrite());
@@ -170,9 +172,9 @@ TEST(DcL1Node, CrossCoreMshrMerge)
 {
     DcL1Node node(nodeCache(), 0, 4);
     Cycle now = 0;
-    node.pushFromCore(read(0x4000, 0));
+    node.pushFromCore(read(0x4000, 0), now);
     node.tick(++now);
-    node.pushFromCore(read(0x4000, 1));
+    node.pushFromCore(read(0x4000, 1), now);
     node.tick(++now);
     node.tick(++now);
 
@@ -183,7 +185,7 @@ TEST(DcL1Node, CrossCoreMshrMerge)
 
     (*f)->isReply = true;
     (*f)->payloadBytes = 128;
-    node.pushFromMem(std::move(*f));
+    node.pushFromMem(std::move(*f), now);
 
     int replies = 0;
     std::set<CoreId> cores;
@@ -202,17 +204,17 @@ TEST(DcL1Node, CrossCoreMshrMerge)
 TEST(DcL1Node, QueueBackpressure)
 {
     DcL1Node node(nodeCache(), 0, 2);
-    node.pushFromCore(read(0x0));
-    node.pushFromCore(read(0x80));
+    node.pushFromCore(read(0x0), 0);
+    node.pushFromCore(read(0x80), 0);
     EXPECT_FALSE(node.canAcceptFromCore());
-    EXPECT_DEATH(node.pushFromCore(read(0x100)), "Q1 overflow");
+    EXPECT_DEATH(node.pushFromCore(read(0x100), 0), "Q1 overflow");
 }
 
 TEST(DcL1Node, BusyUntilDrained)
 {
     DcL1Node node(nodeCache(), 0, 4);
     EXPECT_FALSE(node.busy());
-    node.pushFromCore(read(0x0));
+    node.pushFromCore(read(0x0), 0);
     EXPECT_TRUE(node.busy());
 }
 

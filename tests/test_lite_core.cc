@@ -14,6 +14,17 @@ namespace
 using namespace dcl1;
 using namespace dcl1::gpucore;
 
+/**
+ * Stand in for the interconnect: @p req enters a network at @p now and
+ * comes back as a reply.
+ */
+void
+turnAround(mem::MemRequest &req, Cycle now)
+{
+    mem::handoff(req, stats::Custody::NocReq, now);
+    req.isReply = true;
+}
+
 /** Scripted trace source: every instruction is identical. */
 class FixedSource : public workload::TraceSource
 {
@@ -103,7 +114,7 @@ TEST(LiteCore, LoadBlocksWarpUntilReply)
 
     auto out = core.takeOutbound();
     ASSERT_TRUE(out.has_value());
-    (*out)->isReply = true;
+    turnAround(**out, 5);
     (*out)->payloadBytes = 32;
     core.deliverReply(std::move(*out), 10);
 
@@ -150,7 +161,7 @@ TEST(LiteCore, StoreBufferBounds)
     // ACK one store; another can issue.
     auto out = core.takeOutbound();
     ASSERT_TRUE(out.has_value());
-    (*out)->isReply = true;
+    turnAround(**out, 25);
     core.deliverReply(std::move(*out), 30);
     core.tick(31);
     core.tick(32);
@@ -222,7 +233,7 @@ TEST(LiteCore, ReadLatencyTracked)
     core.tick(2); // LSU -> outbound
     auto out = core.takeOutbound();
     ASSERT_TRUE(out.has_value());
-    (*out)->isReply = true;
+    turnAround(**out, 3);
     core.deliverReply(std::move(*out), 41);
     EXPECT_EQ(core.readsCompleted(), 1u);
     EXPECT_DOUBLE_EQ(core.avgReadLatency(), 40.0);
@@ -305,7 +316,7 @@ TEST(LiteCore, GtoWakesOldestFirst)
     ASSERT_EQ(pending.size(), 2u);
     // Reply to warp 1 first, then warp 0.
     for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-        (*it)->isReply = true;
+        turnAround(**it, 30);
         core.deliverReply(std::move(*it), 30);
     }
     core.tick(31);

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "core/gpu_system.hh"
+#include "exec/determinism.hh"
+#include "mem/request.hh"
 #include "stats/latency_attr.hh"
 #include "stats/timeline.hh"
 #include "stats/trace_export.hh"
@@ -117,29 +119,36 @@ TEST(TimelineSampler, SampleHookSeesCycleAndDt)
 // LatencyAttribution
 // ---------------------------------------------------------------- //
 
+mem::MemRequestPtr
+readAt(Cycle now)
+{
+    return mem::makeRequest(mem::MemOp::Read, 0x80, 32, 0, 0, now);
+}
+
 TEST(LatencyAttribution, SegmentsSumExactlyToRoundTrip)
 {
+    using mem::handoff;
     LatencyAttribution la(1234, 1);
-    ReqTelemetry t;
-    la.onCreate(t, 100);
-    ASSERT_NE(t.sampleId, 0u);
-    tlmEnter(t, Seg::NocReq, 105);   // Issue: 5
-    tlmEnter(t, Seg::Cache, 107);    // NocReq: 2
-    tlmEnter(t, Seg::L2, 112);       // Cache: 5
-    tlmEnter(t, Seg::Dram, 120);     // L2: 8
-    tlmEnter(t, Seg::Cache, 130);    // Dram: 10 (reply revisits cache)
-    tlmEnter(t, Seg::NocReply, 133); // Cache: +3 -> 8
-    la.onRetire(t, 140);             // NocReply: 7
-    EXPECT_EQ(t.sampleId, 0u);       // retires exactly once
+    auto req = readAt(100);
+    mem::create(*req, Custody::Issue, 100, &la);
+    ASSERT_NE(req->tlm.sampleId, 0u);
+    handoff(*req, Custody::NocReq, 105);   // Issue: 5
+    handoff(*req, Custody::Cache, 107);    // NocReq: 2
+    handoff(*req, Custody::L2, 112);       // Cache: 5
+    handoff(*req, Custody::Dram, 120);     // L2: 8
+    handoff(*req, Custody::Cache, 130);    // Dram: 10 (reply revisits)
+    handoff(*req, Custody::NocReply, 133); // Cache: +3 -> 8
+    mem::retire(*req, 140, &la);           // NocReply: 7
+    EXPECT_EQ(req->tlm.sampleId, 0u);      // retires exactly once
 
     EXPECT_EQ(la.total().count(), 1u);
     EXPECT_EQ(la.total().sum(), 40u); // == retire - create
-    EXPECT_EQ(la.segment(Seg::Issue).sum(), 5u);
-    EXPECT_EQ(la.segment(Seg::NocReq).sum(), 2u);
-    EXPECT_EQ(la.segment(Seg::Cache).sum(), 8u);
-    EXPECT_EQ(la.segment(Seg::L2).sum(), 8u);
-    EXPECT_EQ(la.segment(Seg::Dram).sum(), 10u);
-    EXPECT_EQ(la.segment(Seg::NocReply).sum(), 7u);
+    EXPECT_EQ(la.segment(Custody::Issue).sum(), 5u);
+    EXPECT_EQ(la.segment(Custody::NocReq).sum(), 2u);
+    EXPECT_EQ(la.segment(Custody::Cache).sum(), 8u);
+    EXPECT_EQ(la.segment(Custody::L2).sum(), 8u);
+    EXPECT_EQ(la.segment(Custody::Dram).sum(), 10u);
+    EXPECT_EQ(la.segment(Custody::NocReply).sum(), 7u);
 
     std::ostringstream os;
     la.printBreakdown(os);
@@ -151,13 +160,31 @@ TEST(LatencyAttribution, SegmentsSumExactlyToRoundTrip)
         EXPECT_NE(out.find(seg), std::string::npos) << seg;
 }
 
+TEST(LatencyAttribution, MshrCustodyKeepsTheCacheSpan)
+{
+    // A merged target's MSHR time is billed to its cache: the merge
+    // and the release stamp nothing, so the span stays one slice.
+    LatencyAttribution la(7, 1);
+    auto req = readAt(0);
+    mem::create(*req, Custody::Issue, 0, &la);
+    mem::handoff(*req, Custody::Cache, 4);
+    mem::handoff(*req, Custody::Mshr);
+    mem::handoff(*req, Custody::Cache);
+    EXPECT_EQ(req->tlm.curSeg, Custody::Cache);
+    EXPECT_EQ(req->tlm.lastStamp, 4u);
+    mem::handoff(*req, Custody::NocReply, 20);
+    mem::retire(*req, 25, &la);
+    EXPECT_EQ(la.segment(Custody::Cache).sum(), 16u);
+    EXPECT_EQ(la.total().sum(), 25u);
+}
+
 TEST(LatencyAttribution, UnsampledRequestsAreInert)
 {
     LatencyAttribution la(99, 1);
-    ReqTelemetry t; // sampleId == 0: never picked
-    tlmEnter(t, Seg::Dram, 50);
-    EXPECT_EQ(t.lastStamp, 0u);
-    la.onRetire(t, 60);
+    auto req = readAt(0); // never created: sampleId == 0, untracked
+    mem::handoff(*req, Custody::Dram, 50);
+    EXPECT_EQ(req->tlm.lastStamp, 0u);
+    mem::retire(*req, 60, &la);
     EXPECT_EQ(la.total().count(), 0u);
 }
 
@@ -246,6 +273,7 @@ struct TelemetryRun
     std::uint64_t totalSum = 0;
     std::uint64_t segSum = 0;
     std::string statsDump;
+    std::string breakdown;
 };
 
 TelemetryRun
@@ -263,13 +291,17 @@ runWithTelemetry(const core::DesignConfig &design)
     out.metrics = gpu.metrics();
     out.totalSum = gpu.latency()->total().sum();
     for (std::size_t i = 0; i < kNumSegs; ++i)
-        out.segSum += gpu.latency()->segment(static_cast<Seg>(i)).sum();
+        out.segSum +=
+            gpu.latency()->segment(static_cast<Custody>(i)).sum();
     std::ostringstream ts;
     trace.writeJson(ts);
     out.traceJson = ts.str();
     std::ostringstream ss;
     gpu.dumpStats(ss);
     out.statsDump = ss.str();
+    std::ostringstream bs;
+    gpu.latency()->printBreakdown(bs);
+    out.breakdown = bs.str();
     return out;
 }
 
@@ -374,5 +406,68 @@ TEST(GpuSystemTelemetry, StatsJsonDumpIsWellFormed)
     EXPECT_NE(out.find("\"name\":\"latency\""), std::string::npos);
     EXPECT_NE(out.find("\"p99\":"), std::string::npos);
 }
+
+/** Digests of one design's telemetry, recorded by an earlier build. */
+struct TelemetryPin
+{
+    const char *design;
+    std::uint64_t trace;     ///< fnv1a of the Chrome trace JSON
+    std::uint64_t latency;   ///< fnv1a of the stats dump's latency lines
+    std::uint64_t breakdown; ///< fnv1a of printBreakdown's text
+};
+
+void
+PrintTo(const TelemetryPin &p, std::ostream *os)
+{
+    *os << '"' << p.design << '"';
+}
+
+/**
+ * Same-seed identity within one binary cannot see a refactor that
+ * moves a custody stamp consistently; these digests pin the trace
+ * slices, the latency stats and the breakdown table across commits.
+ * The designs cover a private L1, the two-stage crossbar, DC-L1 nodes
+ * and L2 MSHR merges. A deliberate change to attribution re-records
+ * them and says why in CHANGES.md.
+ */
+class TelemetryPinTest : public ::testing::TestWithParam<TelemetryPin>
+{
+};
+
+TEST_P(TelemetryPinTest, DigestsMatchRecorded)
+{
+    const TelemetryPin &pin = GetParam();
+    const TelemetryRun r = runWithTelemetry(core::designByName(pin.design));
+    std::string latency_lines;
+    std::istringstream in(r.statsDump);
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("gpu.latency.", 0) == 0)
+            latency_lines += line + "\n";
+    ASSERT_FALSE(latency_lines.empty());
+    EXPECT_EQ(exec::fnv1a(r.traceJson), pin.trace)
+        << std::hex << "trace digest 0x" << exec::fnv1a(r.traceJson);
+    EXPECT_EQ(exec::fnv1a(latency_lines), pin.latency)
+        << std::hex << "latency digest 0x" << exec::fnv1a(latency_lines);
+    EXPECT_EQ(exec::fnv1a(r.breakdown), pin.breakdown)
+        << std::hex << "breakdown digest 0x" << exec::fnv1a(r.breakdown);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, TelemetryPinTest,
+    ::testing::Values(
+        TelemetryPin{"Baseline", 0x4243fe02fe6e76d4ull,
+                     0x8096f72fa520c109ull, 0xa9637420d3b7c5b9ull},
+        TelemetryPin{"CDXBar", 0x492b8ca5cc60a275ull,
+                     0xffaefe4f3b75e0f8ull, 0xbe2419a367f8fc83ull},
+        TelemetryPin{"Sh40+C10+Boost", 0xab51f78bf8bc2a46ull,
+                     0x766276f29c16fa8aull, 0x61d973ca4c8d5428ull}),
+    [](const ::testing::TestParamInfo<TelemetryPin> &info) {
+        std::string name = info.param.design;
+        for (char &c : name)
+            if (!isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name;
+    });
 
 } // anonymous namespace

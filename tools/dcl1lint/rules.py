@@ -449,8 +449,8 @@ class LayeringRule:
     profiler (prof — every tick path hooks into it, so it must sit
     below them all) and stats are substrate everything instruments
     through; the models (mem, noc, workload) and the check
-    instrumentation they call into form one band (check speaks
-    mem::MemRequest, mem instruments through the request ledger —
+    instrumentation form one band (check speaks mem::MemRequest, and
+    mem's custody calls in mem/request.hh feed the request ledger —
     that mutual coupling is why they share a band);
     gpucore composes mem+noc, core assembles systems, power models on
     top of core runs, exec drives whole systems, serve orchestrates
