@@ -30,10 +30,11 @@ AtomicFileWriter::commit()
         panic("AtomicFileWriter: double commit of '%s'", path_.c_str());
     committed_ = true;
 
-    // Per-process temp name: fleet workers rewrite the same manifest
-    // concurrently, and a shared ".tmp" would let one process rename
-    // another's half-written file (or fail on ENOENT after losing the
-    // race). Each writes its own temp; rename(2) arbitrates.
+    // Per-process temp name: two processes pointed at one directory
+    // (a resume started while the first run still drains, say) may
+    // rewrite the same manifest at once, and a shared ".tmp" would let
+    // one rename the other's half-written file (or fail on ENOENT after
+    // losing the race). Each writes its own temp; rename(2) arbitrates.
     const std::string tmp =
         csprintf("%s.tmp.%ld", path_.c_str(),
                  static_cast<long>(::getpid()));

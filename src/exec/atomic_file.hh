@@ -47,8 +47,8 @@ class AtomicFileWriter
 
     /**
      * Publish: write the buffer to "<path>.tmp.<pid>" (per-process,
-     * so concurrent fleet workers rewriting the same file never touch
-     * each other's temp), flush + fsync, then rename over the
+     * so two processes pointed at one directory never rename each
+     * other's half-written temp), flush + fsync, then rename over the
      * destination. fatal() on any I/O error (a result file that
      * silently failed to land is worse than a crash).
      */

@@ -43,9 +43,9 @@ inline constexpr int kExitQuarantined = 5;
 /** The named run directory exists but cannot be used by this
  *  invocation: its manifest was written by an incompatible build (WAL
  *  schema / DCL1_CHECK signature mismatch) or is not a dcl1 manifest
- *  at all. Distinct from kExitConfigError so fleet launchers can tell
- *  "wrong binary against this run directory" (stop the fleet) apart
- *  from a worker's bad flag. */
+ *  at all. Distinct from kExitConfigError because no choice of flags
+ *  fixes it: this build is wrong for this directory, so a script
+ *  should switch build or directory rather than retry. */
 inline constexpr int kExitIncompatibleRunDir = 6;
 
 /** One-paragraph contract shared by both tools' --help output. */

@@ -31,8 +31,8 @@ void
 installSignalHandlers()
 {
     std::signal(SIGINT, interruptHandler);
-    // Fleet orchestrators stop workers with SIGTERM; a cooperative
-    // drain releases leases and leaves the run directory resumable.
+    // `kill` and job schedulers stop a process with SIGTERM; draining
+    // on it leaves the run directory finalized and resumable.
     std::signal(SIGTERM, interruptHandler);
 }
 

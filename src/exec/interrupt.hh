@@ -2,16 +2,15 @@
  * @file
  * Cooperative SIGINT/SIGTERM handling for durable batch runs.
  *
- * A durable sweep must not die mid-record on Ctrl-C or a fleet
- * launcher's terminate: the handler only raises a flag; the JobRunner
- * stops dispatching new jobs, drains the ones already in flight,
- * finalizes the run manifest, and the tool exits with kExitResumable.
- * SIGTERM matters for fleet workers: orchestrators (dcl1fleet, CI
- * runners, kubelet-style supervisors) terminate with SIGTERM, and a
- * worker that drains cooperatively releases its leases and leaves a
- * resumable run directory instead of stale-lease debris. A second
- * signal (either one) restores the default disposition and re-raises,
- * so an impatient double Ctrl-C still force-kills.
+ * A durable sweep must not die mid-record on Ctrl-C or a terminate
+ * request: the handler only raises a flag; the JobRunner stops
+ * dispatching new jobs, drains the ones already in flight, finalizes
+ * the run manifest, and the tool exits with kExitResumable. SIGTERM
+ * is handled like SIGINT because `kill`, batch schedulers and CI
+ * runners stop a process with it, and a drained sweep leaves a
+ * finalized, resumable run directory. A second signal (either one)
+ * restores the default disposition and re-raises, so an impatient
+ * double Ctrl-C still force-kills.
  *
  * Tests (and the deterministic CI smoke) inject the same signal via
  * requestInterrupt() instead of delivering a real signal.

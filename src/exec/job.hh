@@ -190,37 +190,6 @@ class JobContext
     std::string timelinePath_;
 };
 
-/**
- * Multi-process cell coordination (see exec/lease.hh for the file-
- * based implementation). When attached to a JobRunner, every keyed
- * job is bracketed by tryAcquire (Busy = another worker owns the cell
- * right now; the job is *deferred*, not failed) and, after execution,
- * confirmPublish + release. confirmPublish returning false means the
- * claim was reclaimed while the job ran: the result is dropped
- * (JobResult::lost) instead of published, so two workers can never
- * both record the same cell.
- */
-class CellCoordinator
-{
-  public:
-    virtual ~CellCoordinator() = default;
-
-    enum class Claim : std::uint8_t
-    {
-        Acquired, ///< this worker owns the cell; run it
-        Busy,     ///< claimed elsewhere; defer, re-check next round
-    };
-
-    /** Claim @p key before executing its job. */
-    virtual Claim tryAcquire(const std::string &key) = 0;
-
-    /** Still own @p key? Checked immediately before publishing. */
-    virtual bool confirmPublish(const std::string &key) = 0;
-
-    /** Done with @p key (published or dropped); release the claim. */
-    virtual void release(const std::string &key) = 0;
-};
-
 /** The work itself: runs on one worker thread, returns the metrics. */
 using JobFn = std::function<core::RunMetrics(JobContext &)>;
 
@@ -253,10 +222,6 @@ struct JobResult
     bool quarantined = false; ///< deterministic failure; never retried
     bool resumed = false;     ///< satisfied from a run manifest record
     bool skipped = false;     ///< batch interrupted before it started
-    bool deferred = false;    ///< cell leased by another worker process
-    /** Executed, but the lease was reclaimed mid-run: the result was
-     *  dropped unpublished (the reclaimer's re-run owns the cell). */
-    bool lost = false;
     core::RunMetrics metrics; ///< valid only when ok
     double wallMs = 0.0;      ///< host wall time of this job
     unsigned worker = 0;      ///< worker thread that executed it

@@ -141,12 +141,6 @@ JobRunner::attachManifest(RunManifest *manifest)
     manifest_ = manifest;
 }
 
-void
-JobRunner::attachCoordinator(CellCoordinator *coordinator)
-{
-    coordinator_ = coordinator;
-}
-
 unsigned
 JobRunner::resolveWorkers(std::size_t num_jobs) const
 {
@@ -214,19 +208,6 @@ JobRunner::run(const std::vector<JobSpec> &specs)
         r.label = spec.label;
         r.key = spec.key;
         r.worker = worker;
-
-        // Multi-process claim: exactly one worker process may own a
-        // keyed cell at a time. Busy is not a failure — the cell is
-        // deferred and the worker driver re-checks it next round.
-        const bool coordinated = coordinator_ && !spec.key.empty();
-        if (coordinated &&
-            coordinator_->tryAcquire(spec.key) ==
-                CellCoordinator::Claim::Busy) {
-            r.deferred = true;
-            results[index] = std::move(r);
-            sinks_.jobDone(results[index]);
-            return;
-        }
 
         sinks_.jobStart(index, spec.label, worker);
         const HostClock::time_point job_start = HostClock::now();
@@ -301,18 +282,10 @@ JobRunner::run(const std::vector<JobSpec> &specs)
                     HostClock::now() - job_start)
                     .count());
 
-        // Pre-publish ownership verification: if the lease was
-        // reclaimed while the job ran (this process was presumed
-        // dead), the reclaimer's re-run owns the cell now — drop the
-        // result rather than double-publish.
-        if (coordinated && !coordinator_->confirmPublish(spec.key))
-            r.lost = true;
-
-        if (!r.ok && !r.lost && !crash_dir.empty())
+        if (!r.ok && !crash_dir.empty())
             writeCrashRecord(crash_dir, r, crash_context);
 
-        if (manifest_ && !spec.key.empty() && !r.lost &&
-            (r.ok || r.quarantined)) {
+        if (manifest_ && !spec.key.empty() && (r.ok || r.quarantined)) {
             JobRecord rec;
             rec.key = spec.key;
             rec.label = spec.label;
@@ -326,12 +299,6 @@ JobRunner::run(const std::vector<JobSpec> &specs)
             // RunManifest::append is internally synchronized.
             manifest_->append(rec);
         }
-
-        // Release only after the WAL append: a lease dropped first
-        // would open a window where another worker claims and runs the
-        // cell before this result becomes visible.
-        if (coordinated)
-            coordinator_->release(spec.key);
 
         results[index] = std::move(r);
         sinks_.jobDone(results[index]);
@@ -387,8 +354,7 @@ JobRunner::run(const std::vector<JobSpec> &specs)
     // apart from "ran and failed".
     const bool interrupted = interruptRequested();
     for (std::size_t i = 0; i < n; ++i) {
-        if (!pending[i] || results[i].attempts > 0 ||
-            results[i].deferred)
+        if (!pending[i] || results[i].attempts > 0)
             continue;
         results[i].index = i;
         results[i].label = specs[i].label;
@@ -409,15 +375,9 @@ JobRunner::run(const std::vector<JobSpec> &specs)
             ++summary.skippedJobs;
             continue;
         }
-        if (results[i].deferred) {
-            ++summary.deferredJobs;
-            continue;
-        }
-        if (results[i].lost)
-            ++summary.lostJobs;
         if (results[i].resumed)
             ++summary.resumedJobs;
-        if (!results[i].ok && !results[i].lost) {
+        if (!results[i].ok) {
             ++summary.failedJobs;
             if (results[i].quarantined)
                 ++summary.quarantinedJobs;
@@ -434,10 +394,7 @@ JobRunner::run(const std::vector<JobSpec> &specs)
     by_time.resize(std::min<std::size_t>(n, 5));
     summary.slowest = std::move(by_time);
 
-    // Under a coordinator one run() is one worker *round*; the worker
-    // driver finalizes once, after its last round, with the fleet
-    // status and the coordinator summary.
-    if (manifest_ && !coordinator_)
+    if (manifest_)
         manifest_->finalize(interrupted ? "interrupted" : "complete");
 
     sinks_.runEnd(summary, results);

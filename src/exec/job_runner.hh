@@ -75,22 +75,9 @@ class JobRunner
      * Couple the next run() to a durable-run manifest (not owned; must
      * outlive run()). Completed records satisfy matching jobs without
      * re-simulating; new completions are appended to the write-ahead
-     * log as they land; run() finalizes the manifest on the way out —
-     * unless a coordinator is attached, in which case the worker
-     * driver owns finalization (one batch is one *round*, not the
-     * whole run).
+     * log as they land; run() finalizes the manifest on the way out.
      */
     void attachManifest(RunManifest *manifest);
-
-    /**
-     * Couple the next run() to a multi-process cell coordinator (not
-     * owned; must outlive run()). Every keyed, non-resumed job is
-     * bracketed by tryAcquire / confirmPublish / release: a cell
-     * leased by another worker is *deferred* (not failed), and a
-     * result whose lease was reclaimed mid-run is *lost* (dropped
-     * before it reaches the manifest). See exec/lease.hh.
-     */
-    void attachCoordinator(CellCoordinator *coordinator);
 
     /**
      * Execute every spec; blocks until all are done. Results are
@@ -109,7 +96,6 @@ class JobRunner
     /** Serializes all sink callbacks (see SinkFanout). */
     SinkFanout sinks_;
     RunManifest *manifest_ = nullptr;
-    CellCoordinator *coordinator_ = nullptr;
 };
 
 } // namespace dcl1::exec

@@ -5,7 +5,6 @@
 #include "check/check.hh"
 #include "common/log.hh"
 #include "exec/atomic_file.hh"
-#include "exec/chaos.hh"
 #include "exec/crash_record.hh"
 #include "exec/result_sink.hh"
 
@@ -69,21 +68,9 @@ runCell(const GridCell &cell, JobContext &ctx)
         ctx.setTimelinePath(cell.timelinePath);
     }
 
-    // Fault injection rides the same cycle heartbeat as budget
-    // enforcement: a fresh cell bumps the chaos cell counter, and the
-    // armed kill fires once this cell's simulation reaches the seeded
-    // cycle — mid-simulation, lease held, nothing cleaned up.
-    chaosCellStarted();
-    const bool chaos_armed = chaosConfig().killAfterCells > 0;
     core::GpuSystem::CycleHeartbeat heartbeat;
-    if (ctx.cycleBudget() != 0 || chaos_armed) {
-        heartbeat = [&ctx, chaos_armed](Cycle now) {
-            if (chaos_armed)
-                chaosCycleHeartbeat(now);
-            if (ctx.cycleBudget() != 0)
-                ctx.checkCycleBudget(now);
-        };
-    }
+    if (ctx.cycleBudget() != 0)
+        heartbeat = [&ctx](Cycle now) { ctx.checkCycleBudget(now); };
     try {
         gpu.run(cell.opts.measureCycles, cell.opts.warmupCycles,
                 heartbeat);

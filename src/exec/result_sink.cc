@@ -95,16 +95,7 @@ void
 ProgressSink::onJobDone(const JobResult &result)
 {
     ++done_;
-    if (result.deferred) {
-        std::fprintf(stderr,
-                     "[exec] %4zu/%zu dfer %-28s (leased elsewhere)\n",
-                     done_, total_, result.label.c_str());
-    } else if (result.lost) {
-        std::fprintf(stderr,
-                     "[exec] %4zu/%zu lost %-28s %9.1f ms (lease "
-                     "reclaimed; result dropped)\n",
-                     done_, total_, result.label.c_str(), result.wallMs);
-    } else if (result.resumed) {
+    if (result.resumed) {
         std::fprintf(stderr, "[exec] %4zu/%zu skip %-28s (resumed%s)\n",
                      done_, total_, result.label.c_str(),
                      result.ok ? "" : ", quarantined");
@@ -141,12 +132,6 @@ ProgressSink::onRunEnd(const RunSummary &summary,
                      "[exec] INTERRUPTED: %zu job(s) never started; "
                      "in-flight jobs were drained\n",
                      summary.skippedJobs);
-    if (summary.deferredJobs > 0 || summary.lostJobs > 0)
-        std::fprintf(stderr,
-                     "[exec] fleet: %zu cell(s) deferred to other "
-                     "workers, %zu result(s) dropped to reclaimed "
-                     "leases\n",
-                     summary.deferredJobs, summary.lostJobs);
     if (!summary.slowest.empty()) {
         std::fprintf(stderr, "[exec] slowest:\n");
         for (const std::size_t idx : summary.slowest)
@@ -204,26 +189,26 @@ JsonlSink::JsonlSink(std::string path) : log_(std::move(path))
 void
 JsonlSink::onJobDone(const JobResult &result)
 {
-    if (result.skipped || result.deferred)
+    if (result.skipped)
         return;
     const core::RunMetrics &m = result.metrics;
-    // Host phase profile rides along as one nested object so fleet
-    // tooling can attribute wall time per cell without new files.
+    // Host phase profile rides along as one nested object so tooling
+    // can attribute wall time per cell without new files.
     const std::string prof_field =
         result.prof.enabled ? "\"prof\":" + result.prof.json() + ","
                             : std::string();
     log_.appendLine(csprintf(
         "{\"job\":%zu,\"label\":\"%s\",\"ok\":%s,\"resumed\":%s,"
         "\"quarantined\":%s,\"kind\":\"%s\",\"attempts\":%u,"
-        "\"worker\":%u,%s%s"
+        "\"worker\":%u,%s"
         "\"wall_ms\":%.3f,\"cycles\":%llu,\"instructions\":%llu,"
         "\"ipc\":%.6f,\"error\":\"%s\",\"timeline\":\"%s\"}",
         result.index, jsonEscape(result.label).c_str(),
         result.ok ? "true" : "false", result.resumed ? "true" : "false",
         result.quarantined ? "true" : "false",
         failureKindName(result.kind), result.attempts, result.worker,
-        result.lost ? "\"lost\":true," : "", prof_field.c_str(),
-        result.wallMs, static_cast<unsigned long long>(m.cycles),
+        prof_field.c_str(), result.wallMs,
+        static_cast<unsigned long long>(m.cycles),
         static_cast<unsigned long long>(m.instructions), m.ipc,
         jsonEscape(result.error).c_str(),
         jsonEscape(result.timelinePath).c_str()));
@@ -237,12 +222,10 @@ JsonlSink::onRunEnd(const RunSummary &summary,
     log_.appendLine(csprintf(
         "{\"summary\":true,\"jobs\":%zu,\"failed\":%zu,"
         "\"quarantined\":%zu,\"resumed\":%zu,\"skipped\":%zu,"
-        "\"deferred\":%zu,\"lost\":%zu,\"interrupted\":%s,"
-        "\"workers\":%u,\"wall_ms\":%.3f,\"cpu_ms\":%.3f,"
-        "\"utilization\":%.4f}",
+        "\"interrupted\":%s,\"workers\":%u,\"wall_ms\":%.3f,"
+        "\"cpu_ms\":%.3f,\"utilization\":%.4f}",
         summary.totalJobs, summary.failedJobs, summary.quarantinedJobs,
-        summary.resumedJobs, summary.skippedJobs, summary.deferredJobs,
-        summary.lostJobs,
+        summary.resumedJobs, summary.skippedJobs,
         summary.interrupted ? "true" : "false", summary.workers,
         summary.wallMs, summary.cpuMs, summary.utilization));
 }

@@ -33,10 +33,6 @@ struct RunSummary
     std::size_t resumedJobs = 0;
     /** Never started: the batch was interrupted first. */
     std::size_t skippedJobs = 0;
-    /** Leased by another worker process; re-checked next round. */
-    std::size_t deferredJobs = 0;
-    /** Executed but dropped unpublished: the lease was reclaimed. */
-    std::size_t lostJobs = 0;
     /** SIGINT (or injected interrupt): in-flight jobs were drained,
      *  the rest skipped; the batch is resumable. */
     bool interrupted = false;

@@ -1,8 +1,11 @@
 #include "exec/run_manifest.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "check/check.hh"
 #include "common/log.hh"
@@ -28,6 +31,35 @@ readWholeFile(const std::string &path)
         text += '\n';
     }
     return text;
+}
+
+/** Whole-token unsigned decimal: digits only, in range. */
+bool
+parseU64Token(const std::string &raw, std::uint64_t &out)
+{
+    if (raw.empty() || !std::isdigit(static_cast<unsigned char>(raw[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
+    if (errno == ERANGE || *end != '\0')
+        return false;
+    out = v;
+    return true;
+}
+
+/** Whole-token double, as "%.17g" writes it (inf and nan included). */
+bool
+parseF64Token(const std::string &raw, double &out)
+{
+    if (raw.empty() || std::isspace(static_cast<unsigned char>(raw[0])))
+        return false;
+    char *end = nullptr;
+    const double v = std::strtod(raw.c_str(), &end);
+    if (end == raw.c_str() || *end != '\0')
+        return false;
+    out = v;
+    return true;
 }
 
 } // anonymous namespace
@@ -147,19 +179,13 @@ runMetricsJson(const core::RunMetrics &rm)
 bool
 parseRunMetricsJson(const std::string &json, core::RunMetrics &rm)
 {
+    // A token that is not one whole number rejects the record, so a
+    // corrupted WAL line re-runs its cell instead of resuming a 0.
     auto u64 = [&](const char *field, std::uint64_t &out) {
-        const std::string raw = jsonFieldRaw(json, field);
-        if (raw.empty())
-            return false;
-        out = std::strtoull(raw.c_str(), nullptr, 10);
-        return true;
+        return parseU64Token(jsonFieldRaw(json, field), out);
     };
     auto f64 = [&](const char *field, double &out) {
-        const std::string raw = jsonFieldRaw(json, field);
-        if (raw.empty())
-            return false;
-        out = std::strtod(raw.c_str(), nullptr);
-        return true;
+        return parseF64Token(jsonFieldRaw(json, field), out);
     };
     return u64("cycles", rm.cycles) &&
            u64("instructions", rm.instructions) && f64("ipc", rm.ipc) &&
@@ -208,13 +234,17 @@ JobRecord::fromJsonLine(const std::string &line, JobRecord &out)
         return false;
     const std::string ok = jsonFieldRaw(line, "ok");
     const std::string quarantined = jsonFieldRaw(line, "quarantined");
-    const std::string attempts = jsonFieldRaw(line, "attempts");
-    if (ok.empty() || quarantined.empty() || attempts.empty())
+    auto is_bool = [](const std::string &raw) {
+        return raw == "true" || raw == "false";
+    };
+    std::uint64_t attempts = 0;
+    if (!is_bool(ok) || !is_bool(quarantined) ||
+        !parseU64Token(jsonFieldRaw(line, "attempts"), attempts) ||
+        attempts > std::numeric_limits<unsigned>::max())
         return false;
     out.ok = ok == "true";
     out.quarantined = quarantined == "true";
-    out.attempts = static_cast<unsigned>(
-        std::strtoul(attempts.c_str(), nullptr, 10));
+    out.attempts = static_cast<unsigned>(attempts);
     std::string kind;
     if (jsonFieldString(line, "kind", kind)) {
         for (const auto k :
@@ -259,9 +289,9 @@ RunManifest::openOrCreate(const std::string &dir,
     }
 
     // Incompatibility gets its own pinned exit code (6, distinct from
-    // the generic config-error 1): a fleet launcher seeing it knows
-    // *every* worker it would spawn against this directory is doomed,
-    // where exit 1 just means one worker got a flag wrong.
+    // the generic config-error 1): it means this build cannot use this
+    // directory at all, whatever the flags, so a script can tell
+    // "wrong build for the directory" apart from a mistyped option.
     std::string stored_config, stored_signature;
     if (!jsonFieldString(existing, "config", stored_config) ||
         !jsonFieldString(existing, "signature", stored_signature)) {
@@ -291,12 +321,6 @@ RunManifest::openOrCreate(const std::string &dir,
     {
         MutexLock lock(m->mutex_);
         m->loadRecords();
-        // Keep a fleet coordinator summary a previous worker wrote:
-        // later rewrites (a merge run, another worker's finalize)
-        // must not silently drop the fleet's protocol statistics.
-        const std::string coord = jsonFieldRaw(existing, "coordinator");
-        if (!coord.empty())
-            m->coordinatorJson_ = coord;
         m->writeManifestFile("running");
     }
     return m;
@@ -312,8 +336,9 @@ RunManifest::loadRecords()
             continue;
         JobRecord rec;
         if (!JobRecord::fromJsonLine(line, rec)) {
-            // A torn final line from a hard kill is expected once; the
-            // job it described simply re-runs.
+            // A torn final line from a hard kill is expected once, and
+            // a corrupted record is no better; the job it described
+            // simply re-runs.
             ++malformed;
             continue;
         }
@@ -321,7 +346,8 @@ RunManifest::loadRecords()
     }
     if (malformed > 0)
         warn("run directory '%s': %zu unparsable WAL line(s) ignored "
-             "(likely a torn tail from a hard kill)",
+             "(a torn tail from a hard kill, or a corrupted record); "
+             "their cells re-run",
              dir_.c_str(), malformed);
 }
 
@@ -343,22 +369,6 @@ RunManifest::append(const JobRecord &record)
     records_[record.key] = record;
 }
 
-std::size_t
-RunManifest::refresh()
-{
-    MutexLock lock(mutex_);
-    const std::size_t before = records_.size();
-    loadRecords();
-    return records_.size() - before;
-}
-
-void
-RunManifest::setCoordinatorSummary(std::string json_object)
-{
-    MutexLock lock(mutex_);
-    coordinatorJson_ = std::move(json_object);
-}
-
 void
 RunManifest::finalize(const std::string &status)
 {
@@ -370,16 +380,12 @@ void
 RunManifest::writeManifestFile(const std::string &status)
 {
     AtomicFileWriter out(dir_ + "/manifest.json");
-    const std::string coordinator =
-        coordinatorJson_.empty()
-            ? std::string()
-            : csprintf(",\"coordinator\":%s", coordinatorJson_.c_str());
     out.stream() << csprintf(
         "{\"signature\":\"%s\",\"config\":\"%s\",\"status\":\"%s\","
-        "\"completed\":%zu%s}\n",
+        "\"completed\":%zu}\n",
         jsonEscape(buildSignature()).c_str(),
         jsonEscape(config_).c_str(), jsonEscape(status).c_str(),
-        records_.size(), coordinator.c_str());
+        records_.size());
     out.commit();
 }
 

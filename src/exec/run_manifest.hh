@@ -65,7 +65,8 @@ std::string jsonFieldRaw(const std::string &text, const char *field);
 /** Serialize metrics as a JSON object; doubles use %.17g (exact). */
 std::string runMetricsJson(const core::RunMetrics &rm);
 
-/** Parse runMetricsJson output; false on any missing field. */
+/** Parse runMetricsJson output; false on any missing field or on a
+ *  value that is not one whole number. */
 bool parseRunMetricsJson(const std::string &json, core::RunMetrics &rm);
 
 /** Identity of the producing build (WAL schema + check mode). */
@@ -87,7 +88,8 @@ struct JobRecord
     /** One JSONL line. */
     std::string toJsonLine() const;
 
-    /** Parse a toJsonLine() line; false on malformed input. */
+    /** Parse a toJsonLine() line; false on malformed input, including
+     *  any numeric field that does not parse in full. */
     static bool fromJsonLine(const std::string &line, JobRecord &out);
 };
 
@@ -124,34 +126,6 @@ class RunManifest
     /** Record a finished job (WAL append; crash-safe per record). */
     void append(const JobRecord &record) DCL1_EXCLUDES(mutex_);
 
-    /**
-     * Re-read the WAL, absorbing records other worker processes
-     * appended since open (O_APPEND writes land whole, so concurrent
-     * appenders never tear a line). Fleet workers call this between
-     * claim rounds; a key this process already holds is only ever
-     * re-read with identical content (results are deterministic), so
-     * find() pointers stay valid. Returns the records newly absorbed.
-     */
-    std::size_t refresh() DCL1_EXCLUDES(mutex_);
-
-    /**
-     * Attach the fleet coordinator summary — a complete JSON object
-     * (e.g. {"claims":12,...}) — embedded as the "coordinator" field
-     * of every later manifest rewrite. Empty = no field (the
-     * single-process layout is unchanged).
-     */
-    void setCoordinatorSummary(std::string json_object)
-        DCL1_EXCLUDES(mutex_);
-
-    /** Current coordinator summary (set here, or loaded from the
-     *  manifest a previous worker finalized); "" = none. */
-    std::string
-    coordinatorSummary() const DCL1_EXCLUDES(mutex_)
-    {
-        MutexLock lock(mutex_);
-        return coordinatorJson_;
-    }
-
     /** Rewrite the manifest with a final status ("complete",
      *  "interrupted"); atomic, so a crash keeps the old manifest. */
     void finalize(const std::string &status) DCL1_EXCLUDES(mutex_);
@@ -179,7 +153,6 @@ class RunManifest
     mutable Mutex mutex_;
     AppendLog wal_; ///< internally locked; ordered after mutex_
     std::map<std::string, JobRecord> records_ DCL1_GUARDED_BY(mutex_);
-    std::string coordinatorJson_ DCL1_GUARDED_BY(mutex_);
 };
 
 } // namespace dcl1::exec

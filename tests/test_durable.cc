@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 
 #include "common/log.hh"
 #include "core/design.hh"
+#include "core/gpu_system.hh"
 #include "exec/atomic_file.hh"
 #include "exec/crash_record.hh"
 #include "exec/exit_codes.hh"
@@ -290,6 +293,89 @@ TEST(Durable, ManifestToleratesTornWalTail)
     EXPECT_EQ(re->find("torn-victim"), nullptr);
 }
 
+/** @p line with the raw value of its first `"field":` replaced. */
+std::string
+withRawField(std::string line, const char *field, const std::string &value)
+{
+    const std::string needle = csprintf("\"%s\":", field);
+    const std::size_t at = line.find(needle);
+    EXPECT_NE(at, std::string::npos) << field;
+    line.replace(at + needle.size(), jsonFieldRaw(line, field).size(),
+                 value);
+    return line;
+}
+
+TEST(Durable, ManifestDropsRecordsWithNonNumericTokens)
+{
+    // A number that does not parse in full must reject its record, not
+    // resume as 0: a resumed sweep would print that 0 into the CSV.
+    JobRecord rec;
+    rec.label = "cell";
+    rec.ok = true;
+    rec.attempts = 1;
+    rec.metrics = awkwardMetrics();
+    rec.key = "good";
+    const std::string good = rec.toJsonLine();
+    rec.key = "bad-metric";
+    const std::string bad_metric =
+        withRawField(rec.toJsonLine(), "ipc", "garbage");
+    rec.key = "bad-attempts";
+    const std::string bad_attempts =
+        withRawField(rec.toJsonLine(), "attempts", "two");
+
+    JobRecord back;
+    ASSERT_TRUE(JobRecord::fromJsonLine(good, back));
+    EXPECT_FALSE(JobRecord::fromJsonLine(bad_metric, back));
+    EXPECT_FALSE(JobRecord::fromJsonLine(bad_attempts, back));
+    // Numeric prefixes, signs and out-of-range values are no better.
+    EXPECT_FALSE(JobRecord::fromJsonLine(
+        withRawField(good, "avg_read_latency", "1.5x"), back));
+    EXPECT_FALSE(
+        JobRecord::fromJsonLine(withRawField(good, "cycles", "-1"), back));
+    EXPECT_FALSE(JobRecord::fromJsonLine(
+        withRawField(good, "dram_reads", "99999999999999999999"), back));
+    EXPECT_FALSE(JobRecord::fromJsonLine(
+        withRawField(good, "attempts", "4294967296"), back));
+    EXPECT_FALSE(
+        JobRecord::fromJsonLine(withRawField(good, "ok", "yes"), back));
+
+    const std::string dir = freshDir("nonnumeric");
+    RunManifest::openOrCreate(dir, "nonnumeric-test")
+        ->finalize("interrupted");
+    {
+        std::ofstream out(dir + "/jobs.jsonl", std::ios::app);
+        out << good << '\n' << bad_metric << '\n' << bad_attempts << '\n';
+    }
+    auto manifest = RunManifest::openOrCreate(dir, "nonnumeric-test");
+    EXPECT_EQ(manifest->completedCount(), 1u);
+    EXPECT_NE(manifest->find("good"), nullptr);
+    EXPECT_EQ(manifest->find("bad-metric"), nullptr);
+    EXPECT_EQ(manifest->find("bad-attempts"), nullptr);
+
+    // On resume the two dropped cells run again; the good one does not.
+    std::size_t executed = 0;
+    const JobFn fn = [&executed](JobContext &) {
+        ++executed;
+        return awkwardMetrics();
+    };
+    const std::vector<JobSpec> specs = {{"good", fn, "good"},
+                                        {"bad-metric", fn, "bad-metric"},
+                                        {"bad-attempts", fn,
+                                         "bad-attempts"}};
+    clearInterrupt();
+    JobRunner runner(quietOpts(1));
+    runner.attachManifest(manifest.get());
+    const auto results = runner.run(specs);
+    EXPECT_EQ(executed, 2u);
+    EXPECT_TRUE(results[0].resumed);
+    for (std::size_t i = 1; i < results.size(); ++i) {
+        EXPECT_FALSE(results[i].resumed) << results[i].label;
+        EXPECT_TRUE(results[i].ok) << results[i].label;
+        EXPECT_EQ(results[i].metrics.ipc, awkwardMetrics().ipc);
+    }
+    EXPECT_EQ(manifest->completedCount(), 3u);
+}
+
 TEST(DurableDeathTest, ManifestRefusesForeignRunDirectory)
 {
     const std::string dir = freshDir("mismatch");
@@ -302,8 +388,8 @@ TEST(DurableDeathTest, ManifestRefusesForeignRunDirectory)
                 ::testing::ExitedWithCode(1), "different batch");
 
     // Not a dcl1 manifest at all: the pinned incompatible-run-dir
-    // code (6), so fleet launchers can tell "stop the whole fleet"
-    // apart from one worker's bad flag (1).
+    // code (6), so a script can tell "wrong build for this directory"
+    // apart from a bad flag (1).
     const std::string bogus = freshDir("bogus");
     {
         std::ofstream out(bogus + "/manifest.json");
@@ -395,8 +481,8 @@ TEST(Durable, InterruptFlagIsCooperative)
     EXPECT_TRUE(interruptRequested());
     clearInterrupt();
 
-    // SIGTERM — what fleet launchers send — drains the same way
-    // instead of killing the worker mid-record.
+    // SIGTERM — what `kill` and job schedulers send — drains the same
+    // way instead of killing the process mid-record.
     std::raise(SIGTERM);
     EXPECT_TRUE(interruptRequested());
     clearInterrupt();
@@ -450,6 +536,41 @@ csvOf(const std::vector<JobResult> &results)
     return csv;
 }
 
+/** Two designs by two catalog apps: the 4-cell keyed sweep that the
+ *  resume tests cut short and then resume. */
+JobSet
+fourCellSweep()
+{
+    const auto catalog = workload::appCatalog();
+    core::ExperimentOptions eopts;
+    eopts.measureCycles = 2000;
+    eopts.warmupCycles = 500;
+
+    JobSet set;
+    const core::SystemConfig sys;
+    for (const auto &design :
+         {core::baselineDesign(), core::privateDcl1(40)})
+        for (std::size_t a = 0; a < std::min<std::size_t>(2, catalog.size());
+             ++a)
+            set.addCell(sys, design, catalog[a].params, eopts);
+    return set;
+}
+
+/** CSV of @p set run start to finish in a fresh run directory. */
+std::string
+uninterruptedCsv(const JobSet &set, const std::string &config,
+                 const std::string &dir_name)
+{
+    clearInterrupt();
+    auto manifest = RunManifest::openOrCreate(freshDir(dir_name), config);
+    JobRunner runner(quietOpts(1));
+    runner.attachManifest(manifest.get());
+    const auto results = runner.run(set.specs());
+    for (const auto &r : results)
+        EXPECT_TRUE(r.ok) << r.label << ": " << r.error;
+    return csvOf(results);
+}
+
 /**
  * The ISSUE-level contract: kill a 4-job sweep after 2 completions,
  * resume it, and the combined output is byte-identical to a run that
@@ -457,34 +578,13 @@ csvOf(const std::vector<JobResult> &results)
  */
 TEST(Durable, InterruptedSweepResumesByteIdentically)
 {
-    const auto catalog = workload::appCatalog();
-    ASSERT_GE(catalog.size(), 2u);
-    core::ExperimentOptions eopts;
-    eopts.measureCycles = 2000;
-    eopts.warmupCycles = 500;
-
-    exec::JobSet set;
-    const core::SystemConfig sys;
-    for (const auto &design :
-         {core::baselineDesign(), core::privateDcl1(40)})
-        for (std::size_t a = 0; a < 2; ++a)
-            set.addCell(sys, design, catalog[a].params, eopts);
+    const JobSet set = fourCellSweep();
     ASSERT_EQ(set.size(), 4u);
     const std::string config = "test-sweep designs=2 apps=2";
 
     // Reference: the same batch, never interrupted.
-    clearInterrupt();
-    const std::string clean_dir = freshDir("resume-clean");
-    std::string clean_csv;
-    {
-        auto manifest = RunManifest::openOrCreate(clean_dir, config);
-        JobRunner runner(quietOpts(1));
-        runner.attachManifest(manifest.get());
-        const auto results = runner.run(set.specs());
-        for (const auto &r : results)
-            ASSERT_TRUE(r.ok) << r.label << ": " << r.error;
-        clean_csv = csvOf(results);
-    }
+    const std::string clean_csv =
+        uninterruptedCsv(set, config, "resume-clean");
 
     // Interrupted: the injected Ctrl-C lands after two completions.
     const std::string dir = freshDir("resume-killed");
@@ -540,6 +640,66 @@ TEST(Durable, InterruptedSweepResumesByteIdentically)
         EXPECT_NE(manifest_json.find("\"status\":\"complete\""),
                   std::string::npos);
     }
+}
+
+/**
+ * A hard kill mid-cell — no drain, no finalize, no destructors, the
+ * way SIGKILL or an out-of-memory kill ends a sweep — loses only the
+ * cell in flight: the WAL keeps every record appended before it, and
+ * a resume reproduces the uninterrupted CSV byte for byte.
+ */
+TEST(Durable, HardKilledSweepResumesByteIdentically)
+{
+    const JobSet set = fourCellSweep();
+    ASSERT_EQ(set.size(), 4u);
+    const std::string config = "test-sweep designs=2 apps=2 hard-kill";
+    const std::string clean_csv =
+        uninterruptedCsv(set, config, "hardkill-clean");
+
+    // The third cell dies at its first run-loop heartbeat (cycle 4096),
+    // mid-simulation, by _Exit: nothing is flushed, drained or
+    // finalized after the two records already in the WAL.
+    std::vector<JobSpec> specs = set.specs();
+    specs[2].fn = [](JobContext &) -> core::RunMetrics {
+        core::GpuSystem gpu(core::SystemConfig{}, core::privateDcl1(40),
+                            workload::appCatalog()[0].params);
+        gpu.run(Cycle(1) << 20, 0, [](Cycle) { std::_Exit(137); });
+        return gpu.metrics();
+    };
+    const std::string dir = freshDir("hardkill");
+    clearInterrupt();
+    EXPECT_EXIT(
+        {
+            auto manifest = RunManifest::openOrCreate(dir, config);
+            JobRunner runner(quietOpts(1));
+            runner.attachManifest(manifest.get());
+            runner.run(specs);
+        },
+        ::testing::ExitedWithCode(137), "");
+
+    EXPECT_NE(readFile(dir + "/manifest.json")
+                  .find("\"status\":\"running\""),
+              std::string::npos);
+    auto manifest = RunManifest::openOrCreate(dir, config);
+    EXPECT_EQ(manifest->completedCount(), 2u);
+
+    JobRunner runner(quietOpts(1));
+    runner.attachManifest(manifest.get());
+    SummarySink summary;
+    runner.addSink(&summary);
+    const auto results = runner.run(set.specs());
+    EXPECT_TRUE(results[0].resumed);
+    EXPECT_TRUE(results[1].resumed);
+    EXPECT_FALSE(results[2].resumed);
+    EXPECT_FALSE(results[3].resumed);
+    for (const auto &r : results)
+        ASSERT_TRUE(r.ok) << r.label << ": " << r.error;
+    EXPECT_EQ(summary.last.resumedJobs, 2u);
+    EXPECT_EQ(manifest->completedCount(), 4u);
+    EXPECT_EQ(csvOf(results), clean_csv);
+    EXPECT_NE(readFile(dir + "/manifest.json")
+                  .find("\"status\":\"complete\""),
+              std::string::npos);
 }
 
 } // anonymous namespace
