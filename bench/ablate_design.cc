@@ -15,83 +15,89 @@
 #include "bench/bench_common.hh"
 #include "common/log.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Design ablations",
-              "Reply sizing, node queue depth, flit width, replacement "
-              "policy");
+
+namespace
+{
+
+const char *const kPolicyNames[] = {"LRU", "FIFO", "Random"};
+
+/**
+ * One setting of sections (2)-(6), run on T-AlexNet and @c app. These
+ * edit SystemConfig fields that sys.summary() does not capture, so
+ * their cells carry the setting's tag as key_suffix.
+ */
+struct Variant
+{
+    core::SystemConfig sys;
+    const char *app;
+};
+
+/** Tag -> setting. */
+const std::map<std::string, Variant> &
+variants()
+{
+    static const std::map<std::string, Variant> all = [] {
+        std::map<std::string, Variant> v;
+        for (std::uint32_t depth : {2u, 4u, 8u, 16u}) {
+            core::SystemConfig sys;
+            sys.nodeQueueCap = depth;
+            v[csprintf("q%u", depth)] = {sys, "C-BFS"};
+        }
+        for (std::uint32_t flit : {16u, 32u, 64u}) {
+            core::SystemConfig sys;
+            sys.flitBytes = flit;
+            v[csprintf("flit%u", flit)] = {sys, "P-2DCONV"};
+        }
+        const mem::ReplPolicy policies[] = {mem::ReplPolicy::Lru,
+                                            mem::ReplPolicy::Fifo,
+                                            mem::ReplPolicy::Random};
+        for (int i = 0; i < 3; ++i) {
+            core::SystemConfig sys;
+            sys.l1Repl = policies[i];
+            v[csprintf("repl-%s", kPolicyNames[i])] = {sys, "C-BFS"};
+        }
+        core::SystemConfig gto, wb;
+        gto.warpScheduler = gpucore::WarpSched::GreedyThenOldest;
+        wb.l1WritePolicy = mem::WritePolicy::WriteBack;
+        v["sched-lrr"] = {core::SystemConfig{}, "C-BFS"};
+        v["sched-gto"] = {gto, "C-BFS"};
+        v["wp-we"] = {core::SystemConfig{}, "C-BFS"};
+        v["wp-wb"] = {wb, "C-BFS"};
+        return v;
+    }();
+    return all;
+}
+
+void
+declare(Harness &h)
+{
+    const auto boost = core::clusteredDcl1(40, 10, true);
+    h.declare({boost, core::withFullLineReplies(boost)},
+              {workload::appByName("T-AlexNet"),
+               workload::appByName("C-BFS"),
+               workload::appByName("P-2DCONV")});
+    for (const auto &[tag, v] : variants()) {
+        h.declare(v.sys, boost, workload::appByName("T-AlexNet"), tag);
+        h.declare(v.sys, boost, workload::appByName(v.app), tag);
+    }
+}
+
+void
+render(Harness &h)
+{
+    h.title("Design ablations",
+            "Reply sizing, node queue depth, flit width, replacement "
+            "policy");
     const auto &alexnet = workload::appByName("T-AlexNet");
     const auto &bfs = workload::appByName("C-BFS");
     const auto &conv = workload::appByName("P-2DCONV");
     const auto boost = core::clusteredDcl1(40, 10, true);
 
-    const mem::ReplPolicy policies[] = {mem::ReplPolicy::Lru,
-                                        mem::ReplPolicy::Fifo,
-                                        mem::ReplPolicy::Random};
-    const char *names[] = {"LRU", "FIFO", "Random"};
-
-    // Section (1) uses the Table II platform and goes through the
-    // Harness cache; sections (2)-(6) modify SystemConfig fields that
-    // sys.summary() does not capture, so they are batched through the
-    // engine directly, with a key_suffix telling the cells apart.
-    h.prefetch({boost, core::withFullLineReplies(boost)},
-               {alexnet, bfs, conv});
-
-    exec::JobSet set;
-    std::map<std::string, std::size_t> cellIndex;
-    auto request = [&](const std::string &tag,
-                       const core::SystemConfig &sys,
-                       const workload::AppInfo &app) {
-        cellIndex[tag + "/" + app.params.name] =
-            set.addCell(sys, boost, app.params, h.opts(), tag);
-    };
-    for (std::uint32_t depth : {2u, 4u, 8u, 16u}) {
-        core::SystemConfig sys;
-        sys.nodeQueueCap = depth;
-        request(csprintf("q%u", depth), sys, alexnet);
-        request(csprintf("q%u", depth), sys, bfs);
-    }
-    for (std::uint32_t flit : {16u, 32u, 64u}) {
-        core::SystemConfig sys;
-        sys.flitBytes = flit;
-        request(csprintf("flit%u", flit), sys, alexnet);
-        request(csprintf("flit%u", flit), sys, conv);
-    }
-    for (int i = 0; i < 3; ++i) {
-        core::SystemConfig sys;
-        sys.l1Repl = policies[i];
-        request(csprintf("repl-%s", names[i]), sys, alexnet);
-        request(csprintf("repl-%s", names[i]), sys, bfs);
-    }
-    {
-        core::SystemConfig lrr, gto;
-        gto.warpScheduler = gpucore::WarpSched::GreedyThenOldest;
-        request("sched-lrr", lrr, alexnet);
-        request("sched-lrr", lrr, bfs);
-        request("sched-gto", gto, alexnet);
-        request("sched-gto", gto, bfs);
-    }
-    {
-        core::SystemConfig we, wb;
-        wb.l1WritePolicy = mem::WritePolicy::WriteBack;
-        request("wp-we", we, alexnet);
-        request("wp-we", we, bfs);
-        request("wp-wb", wb, alexnet);
-        request("wp-wb", wb, bfs);
-    }
-    const std::vector<exec::JobResult> results = runJobSet(set);
     auto ipcAt = [&](const std::string &tag,
                      const workload::AppInfo &app) {
-        const exec::JobResult &r =
-            results.at(cellIndex.at(tag + "/" + app.params.name));
-        if (!r.ok)
-            panic("ablation cell %s/%s failed: %s", tag.c_str(),
-                  app.params.name.c_str(), r.error.c_str());
-        return r.metrics.ipc;
+        return h.run(variants().at(tag).sys, boost, app, tag).ipc;
     };
 
     header("(1) reply sizing on NoC#1 (Sec. III claim)");
@@ -129,9 +135,9 @@ main()
     header("(4) L1/DC-L1 replacement policy (modelled: LRU)");
     columns("policy", {"AlexNet", "C-BFS"});
     for (int i = 0; i < 3; ++i)
-        row(names[i],
-            {ipcAt(csprintf("repl-%s", names[i]), alexnet),
-             ipcAt(csprintf("repl-%s", names[i]), bfs)},
+        row(kPolicyNames[i],
+            {ipcAt(csprintf("repl-%s", kPolicyNames[i]), alexnet),
+             ipcAt(csprintf("repl-%s", kPolicyNames[i]), bfs)},
             "%9.2f");
     std::printf("(uniform reuse makes the policies nearly equivalent; "
                 "the DC-L1 conclusions do not hinge on LRU)\n");
@@ -154,5 +160,10 @@ main()
         {ipcAt("wp-wb", alexnet), ipcAt("wp-wb", bfs)}, "%9.2f");
     std::printf("(write-back removes write-through traffic from NoC#2 "
                 "but would need a coherence protocol in a real GPU)\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure ablate_design = {"ablate_design", declare, render};
+
+} // namespace dcl1::bench

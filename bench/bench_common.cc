@@ -2,12 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
-#include <utility>
 
-#include "check/check.hh"
 #include "common/env.hh"
 #include "common/log.hh"
 #include "exec/job_runner.hh"
@@ -32,81 +29,13 @@ split(const std::string &s, char sep)
     return out;
 }
 
-} // anonymous namespace
-
-Harness::Harness(const std::string &title, const std::string &what)
-    : opts_(core::ExperimentOptions::fromEnv())
-{
-    std::printf("==== %s ====\n", title.c_str());
-    std::printf("%s\n", what.c_str());
-    std::printf("platform: %s\n", sys_.summary().c_str());
-    std::printf("cycles: %llu measured after %llu warmup\n\n",
-                static_cast<unsigned long long>(opts_.measureCycles),
-                static_cast<unsigned long long>(opts_.warmupCycles));
-}
-
-std::string
-Harness::resultKey(const core::DesignConfig &design,
-                   const std::string &app) const
-{
-    return csprintf("%s|%s|%llu|%llu|%llu", design.name.c_str(),
-                    app.c_str(),
-                    static_cast<unsigned long long>(opts_.measureCycles),
-                    static_cast<unsigned long long>(opts_.warmupCycles),
-                    static_cast<unsigned long long>(sys_.seed));
-}
-
-void
-Harness::prefetch(const std::vector<core::DesignConfig> &designs,
-                  const std::vector<workload::AppInfo> &apps,
-                  bool with_baseline)
-{
-    exec::JobSet set;
-    // DCL1_TIMELINE=<dir>: emit a per-cell cycle-interval timeline for
-    // every prefetched cell. Observability only — the metrics and
-    // printed tables are byte-identical with or without it.
-    if (const std::string dir = envStrOr("DCL1_TIMELINE", "");
-        !dir.empty())
-        set.setTimelineDir(dir);
-    // Job index -> harness result key; memoization may map several
-    // (design, app) pairs onto one job.
-    std::vector<std::pair<std::size_t, std::string>> wanted;
-    auto request = [&](const core::DesignConfig &design,
-                       const workload::AppInfo &app) {
-        const std::string key = resultKey(design, app.params.name);
-        if (results_.count(key))
-            return;
-        wanted.emplace_back(
-            set.addCell(sys_, design, app.params, opts_), key);
-    };
-    for (const auto &app : apps) {
-        if (with_baseline)
-            request(core::baselineDesign(), app);
-        for (const auto &design : designs)
-            request(design, app);
-    }
-    if (set.size() == 0)
-        return;
-
-    const std::vector<exec::JobResult> results = runJobSet(set);
-
-    for (const auto &[index, key] : wanted) {
-        const exec::JobResult &r = results[index];
-        if (!r.ok) {
-            warn("prefetch: %s failed (%s); the serial run will retry",
-                 r.label.c_str(), r.error.c_str());
-            continue;
-        }
-        results_.emplace(key, r.metrics);
-    }
-}
-
+/** Run @p set on the parallel engine; results come back in job order. */
 std::vector<exec::JobResult>
 runJobSet(const exec::JobSet &set)
 {
     exec::JobRunner runner(exec::ExecOptions::fromEnv());
-    // DCL1_RUN_DIR makes bench batches durable: completed cells are
-    // skipped on a re-run. One directory serves *all* benches — the
+    // DCL1_RUN_DIR makes figure runs durable: completed cells are
+    // skipped on a re-run. One directory serves every figure — the
     // manifest identity is just the build signature; individual cells
     // are told apart by their durable (design, app, opts, platform,
     // seed) keys.
@@ -127,19 +56,85 @@ runJobSet(const exec::JobSet &set)
     return runner.run(set.specs());
 }
 
-const core::RunMetrics &
-Harness::run(const core::DesignConfig &design,
-             const workload::AppInfo &app)
-{
-    const std::string key = resultKey(design, app.params.name);
-    auto it = results_.find(key);
-    if (it != results_.end())
-        return it->second;
+} // anonymous namespace
 
-    std::fprintf(stderr, "  [run] %-18s %s\n", design.name.c_str(),
-                 app.params.name.c_str());
-    core::RunMetrics rm = core::runOnce(sys_, design, app.params, opts_);
-    return results_.emplace(key, rm).first->second;
+Harness::Harness() : opts_(core::ExperimentOptions::fromEnv())
+{
+    // DCL1_TIMELINE=<dir>: emit a per-cell cycle-interval timeline for
+    // every cell. Observability only — the metrics and printed tables
+    // are byte-identical with or without it.
+    if (const std::string dir = envStrOr("DCL1_TIMELINE", "");
+        !dir.empty())
+        set_.setTimelineDir(dir);
+}
+
+void
+Harness::title(const std::string &title, const std::string &what) const
+{
+    std::printf("==== %s ====\n", title.c_str());
+    std::printf("%s\n", what.c_str());
+    std::printf("platform: %s\n", sys_.summary().c_str());
+    std::printf("cycles: %llu measured after %llu warmup\n\n",
+                static_cast<unsigned long long>(opts_.measureCycles),
+                static_cast<unsigned long long>(opts_.warmupCycles));
+}
+
+std::size_t
+Harness::cell(const core::SystemConfig &sys,
+              const core::DesignConfig &design,
+              const workload::AppInfo &app, const std::string &key_suffix)
+{
+    return set_.addCell(sys, design, app.params, opts_, key_suffix);
+}
+
+void
+Harness::declare(const std::vector<core::DesignConfig> &designs,
+                 const std::vector<workload::AppInfo> &apps)
+{
+    for (const auto &app : apps) {
+        declare(sys_, core::baselineDesign(), app);
+        for (const auto &design : designs)
+            declare(sys_, design, app);
+    }
+}
+
+void
+Harness::declare(const core::SystemConfig &sys,
+                 const core::DesignConfig &design,
+                 const workload::AppInfo &app,
+                 const std::string &key_suffix)
+{
+    declared_[figure_].insert(cell(sys, design, app, key_suffix));
+}
+
+void
+Harness::simulate(std::size_t num_figures)
+{
+    std::fprintf(stderr,
+                 "[figures] %zu figure(s): %zu cells requested, %zu "
+                 "scheduled\n",
+                 num_figures, set_.cellsRequested(), set_.size());
+    if (set_.size() != 0)
+        results_ = runJobSet(set_);
+}
+
+const core::RunMetrics &
+Harness::run(const core::SystemConfig &sys,
+             const core::DesignConfig &design,
+             const workload::AppInfo &app, const std::string &key_suffix)
+{
+    // A known cell maps onto its existing job; an unknown one is
+    // appended past the simulated results and fails the check below.
+    const std::size_t index = cell(sys, design, app, key_suffix);
+    if (!declared_[figure_].count(index))
+        panic("figure %s reads cell %s%s%s that it never declared",
+              figure_.c_str(), set_.label(index).c_str(),
+              key_suffix.empty() ? "" : " ", key_suffix.c_str());
+    const exec::JobResult &r = results_[index];
+    if (!r.ok)
+        fatal("figure %s: cell %s failed: %s", figure_.c_str(),
+              r.label.c_str(), r.error.c_str());
+    return r.metrics;
 }
 
 double
@@ -189,33 +184,6 @@ benchOutputPath(const std::string &filename)
     return dir + "/" + filename;
 }
 
-std::string
-machineFingerprintJson()
-{
-    std::string model = "unknown";
-    std::ifstream cpuinfo("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(cpuinfo, line)) {
-        if (line.rfind("model name", 0) == 0) {
-            const std::size_t colon = line.find(':');
-            if (colon != std::string::npos) {
-                std::size_t start = colon + 1;
-                while (start < line.size() && line[start] == ' ')
-                    ++start;
-                model = line.substr(start);
-            }
-            break;
-        }
-    }
-    return csprintf(
-        "{\"cpu\":\"%s\",\"cores\":%u,\"compiler\":\"%s\","
-        "\"checks\":%s}",
-        exec::jsonEscape(model).c_str(),
-        exec::ExecOptions::hardwareConcurrency(),
-        exec::jsonEscape(__VERSION__).c_str(),
-        DCL1_CHECK_ENABLED ? "true" : "false");
-}
-
 void
 header(const std::string &title)
 {
@@ -239,6 +207,55 @@ columns(const std::string &label, const std::vector<std::string> &names)
     for (const auto &n : names)
         std::printf("%8s", n.c_str());
     std::printf("\n");
+}
+
+const std::vector<Figure> &
+figureRegistry()
+{
+    static const std::vector<Figure> registry = {
+        tab1_noc_configs,         fig01_motivation,
+        fig02_utilization,        fig04_private_dcl1,
+        fig06_private_area_power, fig08_shared_sensitive,
+        fig09_shared_insensitive, fig11_clustered,
+        fig12_clustered_area_power, fig13_boost,
+        fig14_overall_ipc,        fig15_scurve,
+        fig16_missrate_replicas,  fig17_port_utilization,
+        fig18_energy_area,        fig19_sensitivity,
+        sens_misc,                ablate_design,
+        ext_scaling};
+    return registry;
+}
+
+void
+runFigures(const std::vector<std::string> &names)
+{
+    std::vector<const Figure *> selected;
+    if (names.empty())
+        for (const Figure &f : figureRegistry())
+            selected.push_back(&f);
+    for (const std::string &name : names) {
+        std::string known;
+        for (const Figure &f : figureRegistry()) {
+            if (name == f.name)
+                selected.push_back(&f);
+            known += csprintf(" %s", f.name);
+        }
+        if (selected.empty() || selected.back()->name != name)
+            fatal("unknown figure '%s'; figures are:%s", name.c_str(),
+                  known.c_str());
+    }
+
+    Harness h;
+    for (const Figure *f : selected) {
+        h.setFigure(f->name);
+        if (f->declare != nullptr)
+            f->declare(h);
+    }
+    h.simulate(selected.size());
+    for (const Figure *f : selected) {
+        h.setFigure(f->name);
+        f->render(h);
+    }
 }
 
 } // namespace dcl1::bench

@@ -12,27 +12,39 @@
 #include "bench/bench_common.hh"
 #include "common/log.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Extension: scaling DC-L1 capacity and NoC resources",
-              "Paper Sec. VIII-A: bigger DC-L1s / faster NoCs should "
-              "extend the benefit");
+
+namespace
+{
+
+/** Sh40+C10+Boost with NoC#2 also at the core clock. */
+core::DesignConfig
+boostNoc2()
+{
+    core::DesignConfig d = core::clusteredDcl1(40, 10, true);
+    d.noc2ClockRatio = 1.0;
+    d.name = "Sh40+C10+Boost+2xNoC2";
+    return d;
+}
+
+void
+declare(Harness &h)
+{
+    const auto boost = core::clusteredDcl1(40, 10, true);
+    h.declare({boost, core::withCapacityScale(boost, 2.0),
+               core::withCapacityScale(boost, 4.0), boostNoc2()},
+              h.apps(/*sensitive_only=*/true));
+}
+
+void
+render(Harness &h)
+{
+    h.title("Extension: scaling DC-L1 capacity and NoC resources",
+            "Paper Sec. VIII-A: bigger DC-L1s / faster NoCs should "
+            "extend the benefit");
 
     const auto apps = h.apps(/*sensitive_only=*/true);
-
-    {
-        const auto boost = core::clusteredDcl1(40, 10, true);
-        core::DesignConfig noc2 = boost;
-        noc2.noc2ClockRatio = 1.0;
-        noc2.name = "Sh40+C10+Boost+2xNoC2";
-        h.prefetch({boost, core::withCapacityScale(boost, 2.0),
-                    core::withCapacityScale(boost, 4.0), noc2},
-                   apps);
-    }
 
     header("DC-L1 capacity scaling on Sh40+C10+Boost (avg speedup)");
     columns("", {"1x", "2x", "4x"});
@@ -50,9 +62,7 @@ main()
 
     header("additionally boosting NoC#2 (avg speedup)");
     {
-        core::DesignConfig d = core::clusteredDcl1(40, 10, true);
-        d.noc2ClockRatio = 1.0;
-        d.name = "Sh40+C10+Boost+2xNoC2";
+        const core::DesignConfig d = boostNoc2();
         double base_sum = 0, sum = 0;
         for (const auto &app : apps) {
             base_sum += h.speedup(core::clusteredDcl1(40, 10, true), app);
@@ -66,5 +76,10 @@ main()
                     "10x8 crossbars see little traffic; the headroom "
                     "above quantifies that choice)\n");
     }
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure ext_scaling = {"ext_scaling", declare, render};
+
+} // namespace dcl1::bench

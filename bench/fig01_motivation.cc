@@ -11,15 +11,26 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 1 / Section II-A",
-              "Replication ratio, L1 miss rate, 16x-capacity IPC, and "
-              "the no-replication estimate per application");
+
+namespace
+{
+
+void
+declare(Harness &h)
+{
+    h.declare({core::withCapacityScale(core::baselineDesign(), 16.0),
+               core::sharedDcl1(40)},
+              h.apps());
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 1 / Section II-A",
+            "Replication ratio, L1 miss rate, 16x-capacity IPC, and "
+            "the no-replication estimate per application");
 
     struct Row
     {
@@ -31,7 +42,6 @@ main()
 
     const auto big = core::withCapacityScale(core::baselineDesign(), 16.0);
     const auto shared = core::sharedDcl1(40);
-    h.prefetch({big, shared}, h.apps());
 
     for (const auto &app : h.apps()) {
         const auto &base = h.baseline(app);
@@ -72,5 +82,10 @@ main()
                 100.0 * s_mr / n_s, s_sp / n_s);
     std::printf("classification criteria (paper): repl>25%%, miss>50%%, "
                 "16x speedup>5%%\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig01_motivation = {"fig01_motivation", declare, render};
+
+} // namespace dcl1::bench

@@ -10,16 +10,24 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 2",
-              "Baseline L1 data-port and L2->core reply-link "
-              "utilization (max across units)");
-    h.prefetch({}, h.apps());
+
+namespace
+{
+
+void
+declare(Harness &h)
+{
+    h.declare({}, h.apps());
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 2",
+            "Baseline L1 data-port and L2->core reply-link "
+            "utilization (max across units)");
 
     struct Row
     {
@@ -52,5 +60,10 @@ main()
 
     print_sorted("L1 data-port utilization (ascending)", true);
     print_sorted("reply NoC link utilization (ascending)", false);
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig02_utilization = {"fig02_utilization", declare, render};
+
+} // namespace dcl1::bench

@@ -11,23 +11,33 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 4",
-              "Private DC-L1 aggregation sweep (replication-sensitive "
-              "apps)");
+
+namespace
+{
+
+void
+declare(Harness &h)
+{
+    std::vector<core::DesignConfig> designs = {
+        core::withPerfectL1(core::baselineDesign())};
+    for (const std::uint32_t y : {80u, 40u, 20u, 10u}) {
+        designs.push_back(core::privateDcl1(y));
+        designs.push_back(core::withPerfectL1(core::privateDcl1(y)));
+    }
+    h.declare(designs, h.apps(/*sensitive_only=*/true));
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 4",
+            "Private DC-L1 aggregation sweep (replication-sensitive "
+            "apps)");
 
     const std::vector<std::uint32_t> node_counts = {80, 40, 20, 10};
     const auto apps = h.apps(/*sensitive_only=*/true);
-
-    std::vector<core::DesignConfig> designs;
-    for (const std::uint32_t y : node_counts)
-        designs.push_back(core::privateDcl1(y));
-    h.prefetch(designs, apps);
 
     header("(a) IPC normalized to baseline");
     columns("app", {"Pr80", "Pr40", "Pr20", "Pr10"});
@@ -79,5 +89,10 @@ main()
     row("Base", {1.0, base_perf / double(apps.size())}, "%8.2f");
     std::printf("paper: perfect Pr40 2.2x, perfect Base 5.2x; Pr80 "
                 "perfect = 3.3x its normal IPC\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig04_private_dcl1 = {"fig04_private_dcl1", declare, render};
+
+} // namespace dcl1::bench

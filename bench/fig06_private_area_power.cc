@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "bench/bench_common.hh"
 #include "core/design.hh"
 #include "power/xbar_model.hh"
 
@@ -14,8 +15,11 @@ using namespace dcl1;
 using namespace dcl1::core;
 using namespace dcl1::power;
 
-int
-main()
+namespace
+{
+
+void
+render(bench::Harness &)
 {
     SystemConfig sys;
     XbarModel model;
@@ -37,5 +41,9 @@ main()
     std::printf("\npaper: area Pr80 ~1.0, Pr40 0.72, Pr20 0.46, Pr10 "
                 "0.33; static power Pr40 0.96, decreasing for Pr20 and "
                 "Pr10\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const bench::Figure bench::fig06_private_area_power = {
+    "fig06_private_area_power", nullptr, render};

@@ -10,17 +10,25 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 8",
-              "Sh40 on the replication-sensitive applications");
+
+namespace
+{
+
+void
+declare(Harness &h)
+{
+    h.declare({core::sharedDcl1(40)}, h.apps(/*sensitive_only=*/true));
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 8",
+            "Sh40 on the replication-sensitive applications");
 
     const auto sh40 = core::sharedDcl1(40);
-    h.prefetch({sh40}, h.apps(/*sensitive_only=*/true));
     header("(a) miss rate and (b) IPC, normalized to baseline");
     columns("app", {"missrate", "IPC"});
 
@@ -51,5 +59,11 @@ main()
     std::printf("IPC: avg %.2fx (paper 1.48x), max %.2fx on %s (paper "
                 "2.9x on T-AlexNet)\n",
                 ipc_sum / n, ipc_max, ipc_max_app.c_str());
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig08_shared_sensitive = {
+    "fig08_shared_sensitive", declare, render};
+
+} // namespace dcl1::bench

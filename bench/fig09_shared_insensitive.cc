@@ -10,17 +10,25 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 9",
-              "Sh40 on the replication-insensitive applications");
+
+namespace
+{
+
+void
+declare(Harness &h)
+{
+    h.declare({core::sharedDcl1(40)}, h.apps(false, /*insensitive_only=*/true));
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 9",
+            "Sh40 on the replication-insensitive applications");
 
     const auto sh40 = core::sharedDcl1(40);
-    h.prefetch({sh40}, h.apps(false, /*insensitive_only=*/true));
     struct Row
     {
         std::string name;
@@ -45,5 +53,11 @@ main()
     std::printf("\npaper: most apps ~1.0; R-SC above 1.0; five poor "
                 "performers drop 40-85%% (worst here: %.0f%%)\n",
                 100.0 * (1.0 - worst));
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig09_shared_insensitive = {
+    "fig09_shared_insensitive", declare, render};
+
+} // namespace dcl1::bench

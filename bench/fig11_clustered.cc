@@ -9,23 +9,30 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 11",
-              "Cluster-count sweep (C1=Sh40 .. C40=Pr40), "
-              "replication-sensitive apps");
+
+namespace
+{
+
+void
+declare(Harness &h)
+{
+    std::vector<core::DesignConfig> designs;
+    for (const std::uint32_t c : {1u, 5u, 10u, 20u, 40u})
+        designs.push_back(core::clusteredDcl1(40, c));
+    h.declare(designs, h.apps(/*sensitive_only=*/true));
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 11",
+            "Cluster-count sweep (C1=Sh40 .. C40=Pr40), "
+            "replication-sensitive apps");
 
     const std::vector<std::uint32_t> cluster_counts = {1, 5, 10, 20, 40};
     const auto apps = h.apps(/*sensitive_only=*/true);
-
-    std::vector<core::DesignConfig> designs;
-    for (const std::uint32_t c : cluster_counts)
-        designs.push_back(core::clusteredDcl1(40, c));
-    h.prefetch(designs, apps);
 
     header("(a) miss rate normalized to baseline");
     columns("app", {"C1", "C5", "C10", "C20", "C40"});
@@ -62,5 +69,10 @@ main()
     }
     row("AVG", ipc_avg, "%8.2f");
     std::printf("paper avg IPC: C1 1.48, C10 1.41, C40 1.15\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig11_clustered = {"fig11_clustered", declare, render};
+
+} // namespace dcl1::bench

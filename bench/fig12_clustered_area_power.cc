@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "bench/bench_common.hh"
 #include "core/design.hh"
 #include "power/xbar_model.hh"
 
@@ -13,8 +14,11 @@ using namespace dcl1;
 using namespace dcl1::core;
 using namespace dcl1::power;
 
-int
-main()
+namespace
+{
+
+void
+render(bench::Harness &)
 {
     SystemConfig sys;
     XbarModel model;
@@ -35,5 +39,9 @@ main()
     }
     std::printf("\npaper: area savings C5 45%%, C10 50%%, C20 45%%; "
                 "static power savings C5 15%%, C10 16%%, C20 14%%\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const bench::Figure bench::fig12_clustered_area_power = {
+    "fig12_clustered_area_power", nullptr, render};

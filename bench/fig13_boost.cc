@@ -11,23 +11,30 @@
 #include "bench/bench_common.hh"
 #include "power/xbar_model.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 13",
-              "Poor performers under clustering + frequency boost; max "
-              "crossbar frequencies");
 
+namespace
+{
+
+void
+declare(Harness &h)
+{
     std::vector<workload::AppInfo> poor;
     for (const auto &app : h.apps())
         if (app.poorUnderSh40)
             poor.push_back(app);
-    h.prefetch({core::sharedDcl1(40), core::clusteredDcl1(40, 10),
-                core::clusteredDcl1(40, 10, true)},
-               poor);
+    h.declare({core::sharedDcl1(40), core::clusteredDcl1(40, 10),
+               core::clusteredDcl1(40, 10, true)},
+              poor);
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 13",
+            "Poor performers under clustering + frequency boost; max "
+            "crossbar frequencies");
 
     header("(a) poor-performing apps, IPC normalized to baseline");
     columns("app", {"Sh40", "C10", "C10+Bst"});
@@ -66,5 +73,10 @@ main()
     std::printf("\npaper: the 80x32 and 80x40 crossbars cannot run at "
                 "2x the 700 MHz baseline; the small 8x4 and 2x1 "
                 "crossbars can\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig13_boost = {"fig13_boost", declare, render};
+
+} // namespace dcl1::bench

@@ -10,18 +10,32 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 14", "Overall IPC of the proposed designs");
 
-    const std::vector<core::DesignConfig> designs = {
-        core::privateDcl1(40), core::sharedDcl1(40),
-        core::clusteredDcl1(40, 10), core::clusteredDcl1(40, 10, true)};
-    h.prefetch(designs, h.apps());
+namespace
+{
+
+/** The four proposed designs this figure compares. */
+std::vector<core::DesignConfig>
+figureDesigns()
+{
+    return {core::privateDcl1(40), core::sharedDcl1(40),
+            core::clusteredDcl1(40, 10), core::clusteredDcl1(40, 10, true)};
+}
+
+void
+declare(Harness &h)
+{
+    h.declare(figureDesigns(), h.apps());
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 14", "Overall IPC of the proposed designs");
+
+    const auto designs = figureDesigns();
 
     header("replication-sensitive apps, IPC normalized to baseline");
     columns("app", {"Pr40", "Sh40", "C10", "C10+Bst"});
@@ -59,5 +73,10 @@ main()
     row("AVG(all)", all_avg, "%8.2f");
     std::printf("paper: insensitive 0.93 / 0.78 / 0.89 / >0.99; "
                 "overall Sh40+C10+Boost 1.27\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig14_overall_ipc = {"fig14_overall_ipc", declare, render};
+
+} // namespace dcl1::bench

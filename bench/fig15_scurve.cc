@@ -9,18 +9,32 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 15", "Speedup S-curves across all applications");
 
-    const std::vector<core::DesignConfig> designs = {
-        core::privateDcl1(40), core::sharedDcl1(40),
-        core::clusteredDcl1(40, 10), core::clusteredDcl1(40, 10, true)};
-    h.prefetch(designs, h.apps());
+namespace
+{
+
+/** The four proposed designs this figure compares. */
+std::vector<core::DesignConfig>
+figureDesigns()
+{
+    return {core::privateDcl1(40), core::sharedDcl1(40),
+            core::clusteredDcl1(40, 10), core::clusteredDcl1(40, 10, true)};
+}
+
+void
+declare(Harness &h)
+{
+    h.declare(figureDesigns(), h.apps());
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 15", "Speedup S-curves across all applications");
+
+    const auto designs = figureDesigns();
 
     for (const auto &d : designs) {
         std::vector<std::pair<double, std::string>> sp;
@@ -37,5 +51,10 @@ main()
     std::printf("\npaper: Sh40+C10+Boost pushes the tail of the S-curve "
                 "toward 1.0 while keeping the replication-sensitive "
                 "head high\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig15_scurve = {"fig15_scurve", declare, render};
+
+} // namespace dcl1::bench

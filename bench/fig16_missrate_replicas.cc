@@ -10,18 +10,32 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 16", "Miss rate and replica counts by design");
 
-    const std::vector<core::DesignConfig> designs = {
-        core::privateDcl1(40), core::sharedDcl1(40),
-        core::clusteredDcl1(40, 10), core::clusteredDcl1(40, 10, true)};
-    h.prefetch(designs, h.apps(/*sensitive_only=*/true));
+namespace
+{
+
+/** The four proposed designs this figure compares. */
+std::vector<core::DesignConfig>
+figureDesigns()
+{
+    return {core::privateDcl1(40), core::sharedDcl1(40),
+            core::clusteredDcl1(40, 10), core::clusteredDcl1(40, 10, true)};
+}
+
+void
+declare(Harness &h)
+{
+    h.declare(figureDesigns(), h.apps(/*sensitive_only=*/true));
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 16", "Miss rate and replica counts by design");
+
+    const auto designs = figureDesigns();
 
     header("miss rate normalized to baseline (sensitive apps)");
     columns("app", {"Pr40", "Sh40", "C10", "C10+Bst"});
@@ -53,5 +67,11 @@ main()
     row("replicas", rep_avg, "%8.2f");
     std::printf("paper: baseline 7.7, Pr40 5.7, Sh40 1.0 (zero "
                 "replicas), Sh40+C10+Boost 2.8\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig16_missrate_replicas = {
+    "fig16_missrate_replicas", declare, render};
+
+} // namespace dcl1::bench

@@ -11,20 +11,34 @@
 
 #include "bench/bench_common.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 17",
-              "Max L1/DC-L1 data-port utilization per design");
 
-    const std::vector<core::DesignConfig> designs = {
-        core::baselineDesign(), core::privateDcl1(40),
-        core::sharedDcl1(40), core::clusteredDcl1(40, 10),
-        core::clusteredDcl1(40, 10, true)};
-    h.prefetch(designs, h.apps());
+namespace
+{
+
+/** Baseline and the four proposed designs. */
+std::vector<core::DesignConfig>
+figureDesigns()
+{
+    return {core::baselineDesign(), core::privateDcl1(40),
+            core::sharedDcl1(40), core::clusteredDcl1(40, 10),
+            core::clusteredDcl1(40, 10, true)};
+}
+
+void
+declare(Harness &h)
+{
+    h.declare(figureDesigns(), h.apps());
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 17",
+            "Max L1/DC-L1 data-port utilization per design");
+
+    const auto designs = figureDesigns();
 
     for (const auto &d : designs) {
         std::vector<std::pair<double, std::string>> util;
@@ -38,5 +52,11 @@ main()
     }
     std::printf("\npaper: all DC-L1 designs show higher per-port "
                 "utilization than the baseline's max of 18%%\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig17_port_utilization = {
+    "fig17_port_utilization", declare, render};
+
+} // namespace dcl1::bench

@@ -14,18 +14,29 @@
 #include "power/energy_model.hh"
 #include "power/xbar_model.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 18 / Sec. VIII",
-              "NoC power & energy, area accounting, latency analysis "
-              "(Sh40+C10+Boost)");
+
+namespace
+{
+
+void
+declare(Harness &h)
+{
+    const auto boost = core::clusteredDcl1(40, 10, true);
+    h.declare({boost}, h.apps());
+    // The decoupling-overhead line reads C-NN whatever DCL1_APPS says.
+    h.declare({boost}, {workload::appByName("C-NN")});
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 18 / Sec. VIII",
+            "NoC power & energy, area accounting, latency analysis "
+            "(Sh40+C10+Boost)");
 
     const auto boost = core::clusteredDcl1(40, 10, true);
-    h.prefetch({boost}, h.apps());
     power::NocEnergyModel energy;
 
     header("(a) NoC power and energy (all apps, normalized to baseline)");
@@ -99,5 +110,10 @@ main()
     std::printf("core<->DC-L1 latency overhead (hit-dominated C-NN): "
                 "+%.0f cycles (paper: +54 cycles on average)\n",
                 dc_lat - base_lat);
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig18_energy_area = {"fig18_energy_area", declare, render};
+
+} // namespace dcl1::bench

@@ -12,28 +12,40 @@
 #include "bench/bench_common.hh"
 #include "common/log.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Figure 19",
-              "CDXBar comparison and L1 access-latency sensitivity");
+
+namespace
+{
+
+/** Panel (a): the CDXBar variants against Sh40+C10+Boost. */
+std::vector<core::DesignConfig>
+cdxbarComparison()
+{
+    return {core::cdxbarDesign(false, false), core::cdxbarDesign(true, false),
+            core::cdxbarDesign(true, true), core::clusteredDcl1(40, 10, true)};
+}
+
+void
+declare(Harness &h)
+{
+    std::vector<core::DesignConfig> grid = cdxbarComparison();
+    for (const std::int32_t lat : {0, 16, 28, 48, 64}) {
+        grid.push_back(core::withL1Latency(core::baselineDesign(), lat));
+        grid.push_back(
+            core::withL1Latency(core::clusteredDcl1(40, 10, true), lat));
+    }
+    h.declare(grid, h.apps());
+}
+
+void
+render(Harness &h)
+{
+    h.title("Figure 19",
+            "CDXBar comparison and L1 access-latency sensitivity");
 
     header("(a) CDXBar variants, IPC normalized to baseline (averages)");
-    const std::vector<core::DesignConfig> designs = {
-        core::cdxbarDesign(false, false), core::cdxbarDesign(true, false),
-        core::cdxbarDesign(true, true), core::clusteredDcl1(40, 10, true)};
-    {
-        std::vector<core::DesignConfig> grid = designs;
-        for (const std::int32_t lat : {0, 16, 28, 48, 64}) {
-            grid.push_back(core::withL1Latency(core::baselineDesign(), lat));
-            grid.push_back(core::withL1Latency(
-                core::clusteredDcl1(40, 10, true), lat));
-        }
-        h.prefetch(grid, h.apps());
-    }
+    const std::vector<core::DesignConfig> designs = cdxbarComparison();
     columns("", {"CDXBar", "+2xNoC1", "+2xNoC", "C10+Bst"});
 
     for (bool sensitive : {true, false}) {
@@ -75,5 +87,10 @@ main()
     }
     std::printf("paper: 1.66x for the sensitive apps even at zero "
                 "latency; <1%% drop for the insensitive apps\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure fig19_sensitivity = {"fig19_sensitivity", declare, render};
+
+} // namespace dcl1::bench

@@ -10,33 +10,63 @@
 #include <cstdio>
 
 #include "bench/bench_common.hh"
-#include "common/log.hh"
 #include "power/cache_model.hh"
 #include "power/xbar_model.hh"
 
-using namespace dcl1;
-using namespace dcl1::bench;
-
-int
-main()
+namespace dcl1::bench
 {
-    Harness h("Section VIII-A sensitivity studies",
-              "CTA scheduling, system size, boosted baselines");
+
+namespace
+{
+
+/** Baseline with NoC#2 at the core clock: the 2x-frequency baseline. */
+core::DesignConfig
+baseFreq2x()
+{
+    auto d = core::baselineDesign();
+    d.name = "Base+2xNoC";
+    d.noc2ClockRatio = 1.0;
+    return d;
+}
+
+/** The 120-core platform. */
+core::SystemConfig
+bigSystem()
+{
+    return core::SystemConfig::scaled(120, 48, 24);
+}
+
+/** Sh40+C10+Boost scaled to the 120-core platform. */
+core::DesignConfig
+bigDesign()
+{
+    return core::clusteredDcl1(60, 10, true);
+}
+
+void
+declare(Harness &h)
+{
+    const auto boost = core::clusteredDcl1(40, 10, true);
+    const auto s_apps = h.apps(/*sensitive_only=*/true);
+    h.declare({boost, core::withDistributedCta(core::baselineDesign()),
+               core::withDistributedCta(boost),
+               core::withCapacityScale(core::baselineDesign(), 2.0),
+               baseFreq2x()},
+              s_apps);
+    for (const auto &app : s_apps) {
+        h.declare(bigSystem(), core::baselineDesign(), app);
+        h.declare(bigSystem(), bigDesign(), app);
+    }
+}
+
+void
+render(Harness &h)
+{
+    h.title("Section VIII-A sensitivity studies",
+            "CTA scheduling, system size, boosted baselines");
 
     const auto boost = core::clusteredDcl1(40, 10, true);
     const auto s_apps = h.apps(/*sensitive_only=*/true);
-
-    {
-        auto freq2x = core::baselineDesign();
-        freq2x.name = "Base+2xNoC";
-        freq2x.noc2ClockRatio = 1.0;
-        h.prefetch({boost,
-                    core::withDistributedCta(core::baselineDesign()),
-                    core::withDistributedCta(boost),
-                    core::withCapacityScale(core::baselineDesign(), 2.0),
-                    freq2x},
-                   s_apps);
-    }
 
     header("distributed CTA scheduler (replication-sensitive avg)");
     {
@@ -63,26 +93,10 @@ main()
 
     header("120-core system: Sh60+C10+Boost (sensitive avg)");
     {
-        // The 120-core platform falls outside the Harness cache, so
-        // this section runs its grid through the engine directly.
-        core::SystemConfig big = core::SystemConfig::scaled(120, 48, 24);
-        const auto d120 = core::clusteredDcl1(60, 10, true);
-        exec::JobSet set;
-        std::vector<std::pair<std::size_t, std::size_t>> cells;
-        for (const auto &app : s_apps)
-            cells.emplace_back(
-                set.addCell(big, core::baselineDesign(), app.params,
-                            h.opts()),
-                set.addCell(big, d120, app.params, h.opts()));
-        const auto results = runJobSet(set);
         double sum = 0;
-        for (const auto &[bi, di] : cells) {
-            if (!results[bi].ok || !results[di].ok)
-                panic("120-core run failed: %s",
-                      (results[bi].ok ? results[di] : results[bi])
-                          .error.c_str());
-            sum += results[di].metrics.ipc / results[bi].metrics.ipc;
-        }
+        for (const auto &app : s_apps)
+            sum += h.run(bigSystem(), bigDesign(), app).ipc /
+                   h.run(bigSystem(), core::baselineDesign(), app).ipc;
         std::printf("speedup %.2fx (paper: 1.67x on 120 cores vs 1.75x "
                     "on 80)\n", sum / s_apps.size());
     }
@@ -93,9 +107,7 @@ main()
         auto cache2x = core::withCapacityScale(core::baselineDesign(),
                                                2.0);
         // 2x NoC frequency.
-        auto freq2x = core::baselineDesign();
-        freq2x.name = "Base+2xNoC";
-        freq2x.noc2ClockRatio = 1.0;
+        const auto freq2x = baseFreq2x();
         double c = 0, f = 0, b = 0;
         for (const auto &app : s_apps) {
             c += h.speedup(cache2x, app);
@@ -120,5 +132,10 @@ main()
         std::printf("paper: boosted baselines gain 33-36%%, ~22 "
                     "points below Sh40+C10+Boost\n");
     }
-    return 0;
 }
+
+} // anonymous namespace
+
+const Figure sens_misc = {"sens_misc", declare, render};
+
+} // namespace dcl1::bench

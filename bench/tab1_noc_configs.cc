@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "bench/bench_common.hh"
 #include "common/log.hh"
 #include "core/design.hh"
 
@@ -33,10 +34,8 @@ nocString(const DesignConfig &d, const SystemConfig &sys,
     return "NA";
 }
 
-} // anonymous namespace
-
-int
-main()
+void
+render(bench::Harness &)
 {
     SystemConfig sys;
     std::printf("==== Table I ====\n");
@@ -69,5 +68,9 @@ main()
     std::printf("\npaper: Pr80 4X, Pr40 8X, Pr20 16X, Pr10 32X "
                 "(paper counts links at the core clock: 4X/8X/16X/32X "
                 "with our 700 MHz flit clock folded in)\n");
-    return 0;
 }
+
+} // anonymous namespace
+
+const bench::Figure bench::tab1_noc_configs = {
+    "tab1_noc_configs", nullptr, render};

@@ -1,10 +1,11 @@
 #include "exec/crash_record.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "check/request_ledger.hh"
+#include "common/env.hh"
 #include "common/log.hh"
 #include "core/gpu_system.hh"
 #include "exec/atomic_file.hh"
@@ -121,18 +122,32 @@ loadCrashRecord(const std::string &path)
         fatal("crash record '%s' carries no replayable config "
               "(jobs must cooperate via JobContext::setCrashContext)",
               path.c_str());
-    auto u64 = [&](const char *field, std::uint64_t fallback) {
-        const std::string raw = jsonFieldRaw(text, field);
-        return raw.empty() ? fallback
-                           : std::strtoull(raw.c_str(), nullptr, 10);
+    // Every number must parse in full and in range, with the bounds
+    // dcl1run puts on the matching flag: "measure":garbage is a broken
+    // record, not a 0-cycle replay.
+    constexpr std::int64_t max_u32 =
+        std::numeric_limits<std::uint32_t>::max();
+    constexpr std::int64_t max_i64 =
+        std::numeric_limits<std::int64_t>::max();
+    auto num = [&](const char *field, std::uint64_t fallback,
+                   std::int64_t min_value, std::int64_t max_value) {
+        if (text.find(csprintf("\"%s\":", field)) == std::string::npos)
+            return fallback;
+        const std::string name =
+            csprintf("crash record '%s' field %s", path.c_str(), field);
+        return static_cast<std::uint64_t>(
+            parseEnvInt(name.c_str(), jsonFieldRaw(text, field).c_str(),
+                        min_value, max_value));
     };
-    cfg.cores = static_cast<std::uint32_t>(u64("cores", cfg.cores));
-    cfg.slices = static_cast<std::uint32_t>(u64("slices", cfg.slices));
-    cfg.channels =
-        static_cast<std::uint32_t>(u64("channels", cfg.channels));
-    cfg.seed = u64("seed", cfg.seed);
-    cfg.measure = u64("measure", cfg.measure);
-    cfg.warmup = u64("warmup", cfg.warmup);
+    cfg.cores =
+        static_cast<std::uint32_t>(num("cores", cfg.cores, 1, max_u32));
+    cfg.slices =
+        static_cast<std::uint32_t>(num("slices", cfg.slices, 1, max_u32));
+    cfg.channels = static_cast<std::uint32_t>(
+        num("channels", cfg.channels, 1, max_u32));
+    cfg.seed = num("seed", cfg.seed, 0, max_i64);
+    cfg.measure = num("measure", cfg.measure, 1, max_i64);
+    cfg.warmup = num("warmup", cfg.warmup, 0, max_i64);
     jsonFieldString(text, "label", cfg.label);
     jsonFieldString(text, "error", cfg.error);
     return cfg;

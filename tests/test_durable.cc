@@ -466,6 +466,34 @@ TEST(DurableDeathTest, ConfiglessCrashRecordCannotReplay)
                 "no replayable config");
 }
 
+TEST(DurableDeathTest, CrashRecordWithNonNumericFieldCannotReplay)
+{
+    const std::string dir = freshDir("crash-garbage");
+    JobResult result;
+    result.index = 0;
+    result.label = "Baseline/T-AlexNet";
+    result.kind = FailureKind::Timeout;
+    writeCrashRecord(dir, result,
+                     "\"design\":\"Baseline\",\"app\":\"T-AlexNet\","
+                     "\"measure\":garbage,\"warmup\":1000");
+    const std::string path =
+        dir + "/" + crashRecordName(result.index, result.label);
+    EXPECT_EXIT(loadCrashRecord(path), ::testing::ExitedWithCode(1),
+                "field measure: 'garbage' is not a number");
+
+    // Trailing garbage and an empty value are rejected the same way.
+    writeCrashRecord(dir, result,
+                     "\"design\":\"Baseline\",\"app\":\"T-AlexNet\","
+                     "\"cores\":8x");
+    EXPECT_EXIT(loadCrashRecord(path), ::testing::ExitedWithCode(1),
+                "field cores: trailing garbage in '8x'");
+    writeCrashRecord(dir, result,
+                     "\"design\":\"Baseline\",\"app\":\"T-AlexNet\","
+                     "\"seed\":,\"warmup\":10");
+    EXPECT_EXIT(loadCrashRecord(path), ::testing::ExitedWithCode(1),
+                "field seed: empty value");
+}
+
 TEST(Durable, InterruptFlagIsCooperative)
 {
     clearInterrupt();

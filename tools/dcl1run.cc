@@ -119,6 +119,10 @@ valueOf(const char *arg, const char *key)
     return std::nullopt;
 }
 
+/// Upper bounds for the strictly parsed numeric flags.
+constexpr std::int64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -143,8 +147,7 @@ parseArgs(int argc, char **argv)
             o.timelineFile = *v;
         else if (auto v = valueOf(a, "--timeline-interval"))
             o.timelineInterval = static_cast<Cycle>(parseEnvInt(
-                "--timeline-interval", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
+                "--timeline-interval", v->c_str(), 1, kMaxI64));
         else if (std::strcmp(a, "--trace") == 0)
             o.traceOutFile = "trace.json"; // bare: Chrome trace export
         else if (auto v = valueOf(a, "--trace-out"))
@@ -152,25 +155,29 @@ parseArgs(int argc, char **argv)
         else if (std::strcmp(a, "--latency") == 0)
             o.latencyEvery = 1;
         else if (auto v = valueOf(a, "--latency"))
-            o.latencyEvery = static_cast<std::uint32_t>(parseEnvInt(
-                "--latency", v->c_str(), 1,
-                std::numeric_limits<std::uint32_t>::max()));
+            o.latencyEvery = static_cast<std::uint32_t>(
+                parseEnvInt("--latency", v->c_str(), 1, kMaxU32));
         else if (auto v = valueOf(a, "--cycles"))
-            o.cycles = std::strtoull(v->c_str(), nullptr, 10);
+            o.cycles = static_cast<Cycle>(parseEnvInt(
+                "--cycles", v->c_str(), 1, kMaxI64));
         else if (auto v = valueOf(a, "--warmup"))
-            o.warmup = std::strtoull(v->c_str(), nullptr, 10);
+            o.warmup = static_cast<Cycle>(
+                parseEnvInt("--warmup", v->c_str(), 0, kMaxI64));
         else if (auto v = valueOf(a, "--cores"))
-            o.cores = std::strtoul(v->c_str(), nullptr, 10);
+            o.cores = static_cast<std::uint32_t>(
+                parseEnvInt("--cores", v->c_str(), 1, kMaxU32));
         else if (auto v = valueOf(a, "--slices"))
-            o.slices = std::strtoul(v->c_str(), nullptr, 10);
+            o.slices = static_cast<std::uint32_t>(
+                parseEnvInt("--slices", v->c_str(), 1, kMaxU32));
         else if (auto v = valueOf(a, "--channels"))
-            o.channels = std::strtoul(v->c_str(), nullptr, 10);
+            o.channels = static_cast<std::uint32_t>(
+                parseEnvInt("--channels", v->c_str(), 1, kMaxU32));
         else if (auto v = valueOf(a, "--seed"))
-            o.seed = std::strtoull(v->c_str(), nullptr, 10);
+            o.seed = static_cast<std::uint64_t>(
+                parseEnvInt("--seed", v->c_str(), 0, kMaxI64));
         else if (auto v = valueOf(a, "--budget"))
-            o.budget = static_cast<Cycle>(parseEnvInt(
-                "--budget", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
+            o.budget = static_cast<Cycle>(
+                parseEnvInt("--budget", v->c_str(), 1, kMaxI64));
         else if (auto v = valueOf(a, "--jsonl"))
             o.jsonlFile = *v;
         else if (auto v = valueOf(a, "--crash-dir"))
