@@ -1,9 +1,8 @@
 #include "bench/bench_common.hh"
 
+#include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
-#include <sstream>
 
 #include "common/env.hh"
 #include "common/log.hh"
@@ -17,17 +16,6 @@ namespace dcl1::bench
 
 namespace
 {
-
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, sep))
-        out.push_back(item);
-    return out;
-}
 
 /** Run @p set on the parallel engine; results come back in job order. */
 std::vector<exec::JobResult>
@@ -148,40 +136,30 @@ Harness::speedup(const core::DesignConfig &design,
 std::vector<workload::AppInfo>
 Harness::apps(bool sensitive_only, bool insensitive_only)
 {
-    std::vector<workload::AppInfo> out;
-    std::vector<std::string> filter;
-    if (const std::string f = envStrOr("DCL1_APPS", ""); !f.empty())
-        filter = split(f, ',');
+    const std::vector<std::string> filter =
+        splitList(envStrOr("DCL1_APPS", ""));
+    for (const std::string &name : filter)
+        workload::appByName(name); // fatal, listing the catalog, if unknown
 
+    std::vector<workload::AppInfo> out;
     for (const auto &app : workload::appCatalog()) {
         if (sensitive_only && !app.replicationSensitive)
             continue;
         if (insensitive_only && app.replicationSensitive)
             continue;
-        if (!filter.empty()) {
-            bool keep = false;
-            for (const auto &name : filter)
-                keep = keep || name == app.params.name;
-            if (!keep)
-                continue;
-        }
+        if (!filter.empty() && std::find(filter.begin(), filter.end(),
+                                         app.params.name) == filter.end())
+            continue;
         out.push_back(app);
     }
     return out;
 }
 
-std::string
-benchOutputPath(const std::string &filename)
+std::vector<core::DesignConfig>
+proposedDesigns()
 {
-    const std::string dir = envStrOr("DCL1_BENCH_DIR", "");
-    if (dir.empty())
-        return filename;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        fatal("DCL1_BENCH_DIR '%s': cannot create directory (%s)",
-              dir.c_str(), ec.message().c_str());
-    return dir + "/" + filename;
+    return {core::privateDcl1(40), core::sharedDcl1(40),
+            core::clusteredDcl1(40, 10), core::clusteredDcl1(40, 10, true)};
 }
 
 void

@@ -12,7 +12,8 @@
  *
  * Environment:
  *   DCL1_CYCLES / DCL1_WARMUP - simulation length per cell
- *   DCL1_APPS=a,b,c           - restrict the app set (smoke runs)
+ *   DCL1_APPS=a,b,c           - restrict the app set (smoke runs);
+ *                               a name not in the catalog is fatal
  *   DCL1_JOBS=N               - parallel workers
  *                               (default: one per hardware thread)
  *   DCL1_JOBS_LOG=<file>      - per-job JSONL timing records
@@ -168,14 +169,10 @@ const std::vector<Figure> &figureRegistry();
 void runFigures(const std::vector<std::string> &names);
 
 /**
- * Destination for a `BENCH_*.json` result file: @p filename placed
- * under DCL1_BENCH_DIR (created on demand) when set, else the working
- * directory. Every bench that emits a BENCH artifact must build its
- * path here and publish through exec::AtomicFileWriter — never a raw
- * path into the cwd — so CI can collect all artifacts from one
- * directory.
+ * The paper's four proposed DC-L1 designs, in the column order of
+ * Figs. 14-16: Pr40, Sh40, Sh40+C10, Sh40+C10+Boost.
  */
-std::string benchOutputPath(const std::string &filename);
+std::vector<core::DesignConfig> proposedDesigns();
 
 /// @name Table formatting helpers
 /// @{

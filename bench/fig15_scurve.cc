@@ -15,18 +15,10 @@ namespace dcl1::bench
 namespace
 {
 
-/** The four proposed designs this figure compares. */
-std::vector<core::DesignConfig>
-figureDesigns()
-{
-    return {core::privateDcl1(40), core::sharedDcl1(40),
-            core::clusteredDcl1(40, 10), core::clusteredDcl1(40, 10, true)};
-}
-
 void
 declare(Harness &h)
 {
-    h.declare(figureDesigns(), h.apps());
+    h.declare(proposedDesigns(), h.apps());
 }
 
 void
@@ -34,7 +26,7 @@ render(Harness &h)
 {
     h.title("Figure 15", "Speedup S-curves across all applications");
 
-    const auto designs = figureDesigns();
+    const auto designs = proposedDesigns();
 
     for (const auto &d : designs) {
         std::vector<std::pair<double, std::string>> sp;

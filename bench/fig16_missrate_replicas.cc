@@ -16,18 +16,10 @@ namespace dcl1::bench
 namespace
 {
 
-/** The four proposed designs this figure compares. */
-std::vector<core::DesignConfig>
-figureDesigns()
-{
-    return {core::privateDcl1(40), core::sharedDcl1(40),
-            core::clusteredDcl1(40, 10), core::clusteredDcl1(40, 10, true)};
-}
-
 void
 declare(Harness &h)
 {
-    h.declare(figureDesigns(), h.apps(/*sensitive_only=*/true));
+    h.declare(proposedDesigns(), h.apps(/*sensitive_only=*/true));
 }
 
 void
@@ -35,7 +27,7 @@ render(Harness &h)
 {
     h.title("Figure 16", "Miss rate and replica counts by design");
 
-    const auto designs = figureDesigns();
+    const auto designs = proposedDesigns();
 
     header("miss rate normalized to baseline (sensitive apps)");
     columns("app", {"Pr40", "Sh40", "C10", "C10+Bst"});

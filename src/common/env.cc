@@ -58,4 +58,29 @@ envIsSet(const char *name)
     return std::getenv(name) != nullptr;
 }
 
+std::vector<std::string>
+splitList(const std::string &text)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= text.size()) {
+        std::size_t comma = text.find(',', start);
+        if (comma == std::string::npos)
+            comma = text.size();
+        if (comma > start)
+            out.push_back(text.substr(start, comma - start));
+        start = comma + 1;
+    }
+    return out;
+}
+
+std::string
+joinList(const std::vector<std::string> &items)
+{
+    std::string out;
+    for (const std::string &item : items)
+        out += (out.empty() ? "" : ",") + item;
+    return out;
+}
+
 } // namespace dcl1

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace dcl1
 {
@@ -49,6 +50,15 @@ std::string envStrOr(const char *name, const std::string &fallback);
 
 /** True when @p name is set (to anything, including empty). */
 bool envIsSet(const char *name);
+
+/**
+ * Split a comma list ("a,,b" -> {"a", "b"}; empty items are dropped).
+ * The one splitter for list-valued knobs and command-line options.
+ */
+std::vector<std::string> splitList(const std::string &text);
+
+/** Inverse of splitList: {"a", "b"} -> "a,b". */
+std::string joinList(const std::vector<std::string> &items);
 
 } // namespace dcl1
 

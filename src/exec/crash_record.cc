@@ -102,6 +102,20 @@ writeCrashRecord(const std::string &dir, const JobResult &result,
     }
 }
 
+std::string
+crashConfigJson(const CrashConfig &cfg)
+{
+    const bool trace = !cfg.trace.empty();
+    return csprintf(
+        "\"design\":\"%s\",\"%s\":\"%s\",\"cores\":%u,\"slices\":%u,"
+        "\"channels\":%u,\"seed\":%llu,\"measure\":%llu,\"warmup\":%llu",
+        jsonEscape(cfg.design).c_str(), trace ? "trace" : "app",
+        jsonEscape(trace ? cfg.trace : cfg.app).c_str(), cfg.cores,
+        cfg.slices, cfg.channels, static_cast<unsigned long long>(cfg.seed),
+        static_cast<unsigned long long>(cfg.measure),
+        static_cast<unsigned long long>(cfg.warmup));
+}
+
 CrashConfig
 loadCrashRecord(const std::string &path)
 {

@@ -66,6 +66,14 @@ struct CrashConfig
     std::string error; ///< recorded failure text (informational)
 };
 
+/**
+ * The replayable configuration as a crash-context fragment (no
+ * surrounding braces): `"design","app"|"trace","cores",...,"warmup"`,
+ * the fields loadCrashRecord reads back. "trace" is written when
+ * @p cfg.trace is set, "app" otherwise; label and error are not.
+ */
+std::string crashConfigJson(const CrashConfig &cfg);
+
 /** Load a crash record; fatal() when unreadable or config-less. */
 CrashConfig loadCrashRecord(const std::string &path);
 

@@ -35,15 +35,16 @@ runCell(const GridCell &cell, JobContext &ctx)
     // Crash-diagnostic cooperation: hand the engine a replayable
     // description of this cell up front, so even a death during
     // construction leaves a usable record.
-    const std::string config = csprintf(
-        "\"design\":\"%s\",\"app\":\"%s\",\"cores\":%u,\"slices\":%u,"
-        "\"channels\":%u,\"seed\":%llu,\"measure\":%llu,\"warmup\":%llu",
-        jsonEscape(cell.design.name).c_str(),
-        jsonEscape(cell.app.name).c_str(), cell.sys.numCores,
-        cell.sys.numL2Slices, cell.sys.numChannels,
-        static_cast<unsigned long long>(cell.sys.seed),
-        static_cast<unsigned long long>(cell.opts.measureCycles),
-        static_cast<unsigned long long>(cell.opts.warmupCycles));
+    CrashConfig replay;
+    replay.design = cell.design.name;
+    replay.app = cell.app.name;
+    replay.cores = cell.sys.numCores;
+    replay.slices = cell.sys.numL2Slices;
+    replay.channels = cell.sys.numChannels;
+    replay.seed = cell.sys.seed;
+    replay.measure = cell.opts.measureCycles;
+    replay.warmup = cell.opts.warmupCycles;
+    const std::string config = crashConfigJson(replay);
     ctx.setCrashContext(config);
 
     // Fail a mis-budgeted cell before paying for construction.

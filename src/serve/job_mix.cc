@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/env.hh"
 #include "common/log.hh"
 #include "workload/app_catalog.hh"
 
@@ -164,19 +165,11 @@ JobMix
 mixFromAppList(const std::string &csv)
 {
     JobMix mix;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        std::size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        const std::string name = csv.substr(start, comma - start);
-        if (!name.empty()) {
-            MixEntry e;
-            e.app = name;
-            validateEntry(e, "app list");
-            mix.entries.push_back(std::move(e));
-        }
-        start = comma + 1;
+    for (const std::string &name : splitList(csv)) {
+        MixEntry e;
+        e.app = name;
+        validateEntry(e, "app list");
+        mix.entries.push_back(std::move(e));
     }
     if (mix.entries.empty())
         fatal("empty application list");

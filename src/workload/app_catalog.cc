@@ -373,7 +373,11 @@ appByName(const std::string &name)
     for (const auto &app : appCatalog())
         if (app.params.name == name)
             return app;
-    fatal("unknown application '%s'", name.c_str());
+    std::string known;
+    for (const auto &app : appCatalog())
+        known += " " + app.params.name;
+    fatal("unknown application '%s'; the catalog is:%s", name.c_str(),
+          known.c_str());
 }
 
 std::vector<AppInfo>

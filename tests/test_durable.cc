@@ -417,37 +417,52 @@ TEST(Durable, CrashRecordRoundTripsReplayConfig)
 {
     const std::string dir = freshDir("crash");
 
-    JobResult result;
-    result.index = 3;
-    result.label = "Private-40/LeNet";
-    result.kind = FailureKind::Timeout;
-    result.attempts = 3;
-    result.error = "cycle budget exceeded: 8000 > 4000";
-    const std::string context =
-        "\"design\":\"Private-40\",\"app\":\"LeNet\",\"cores\":40,"
-        "\"slices\":16,\"channels\":8,\"seed\":7,\"measure\":2000,"
-        "\"warmup\":500";
-    writeCrashRecord(dir, result, context);
+    // Both record kinds go through the one writer the engine and
+    // dcl1run use: a catalog app and a trace replay.
+    CrashConfig app_cell;
+    app_cell.design = "Private-40";
+    app_cell.app = "LeNet";
+    app_cell.cores = 40;
+    app_cell.slices = 16;
+    app_cell.channels = 8;
+    app_cell.seed = 7;
+    app_cell.measure = 2000;
+    app_cell.warmup = 500;
+    CrashConfig trace_cell = app_cell;
+    trace_cell.app.clear();
+    trace_cell.trace = "runs/my \"gemm\".trace";
+    trace_cell.seed = 0;
+
+    for (const CrashConfig &written : {app_cell, trace_cell}) {
+        JobResult result;
+        result.index = written.trace.empty() ? 3 : 4;
+        result.label = "Private-40/LeNet";
+        result.kind = FailureKind::Timeout;
+        result.attempts = 3;
+        result.error = "cycle budget exceeded: 8000 > 4000";
+        writeCrashRecord(dir, result, crashConfigJson(written));
+
+        const std::string path =
+            dir + "/" + crashRecordName(result.index, result.label);
+        ASSERT_TRUE(fileExists(path));
+
+        const CrashConfig cfg = loadCrashRecord(path);
+        EXPECT_EQ(cfg.design, written.design);
+        EXPECT_EQ(cfg.app, written.app);
+        EXPECT_EQ(cfg.trace, written.trace);
+        EXPECT_EQ(cfg.cores, written.cores);
+        EXPECT_EQ(cfg.slices, written.slices);
+        EXPECT_EQ(cfg.channels, written.channels);
+        EXPECT_EQ(cfg.seed, written.seed);
+        EXPECT_EQ(cfg.measure, written.measure);
+        EXPECT_EQ(cfg.warmup, written.warmup);
+        EXPECT_EQ(cfg.label, "Private-40/LeNet");
+        EXPECT_EQ(cfg.error, result.error);
+    }
 
     // Labels contain '/', which must not become a path component.
     EXPECT_EQ(crashRecordName(3, "Private-40/LeNet"),
               "job003-Private-40_LeNet.json");
-    const std::string path =
-        dir + "/" + crashRecordName(result.index, result.label);
-    ASSERT_TRUE(fileExists(path));
-
-    const CrashConfig cfg = loadCrashRecord(path);
-    EXPECT_EQ(cfg.design, "Private-40");
-    EXPECT_EQ(cfg.app, "LeNet");
-    EXPECT_TRUE(cfg.trace.empty());
-    EXPECT_EQ(cfg.cores, 40u);
-    EXPECT_EQ(cfg.slices, 16u);
-    EXPECT_EQ(cfg.channels, 8u);
-    EXPECT_EQ(cfg.seed, 7u);
-    EXPECT_EQ(cfg.measure, 2000u);
-    EXPECT_EQ(cfg.warmup, 500u);
-    EXPECT_EQ(cfg.label, "Private-40/LeNet");
-    EXPECT_EQ(cfg.error, result.error);
 }
 
 TEST(DurableDeathTest, ConfiglessCrashRecordCannotReplay)

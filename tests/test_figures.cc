@@ -180,5 +180,19 @@ TEST(FiguresDeathTest, UnknownFigureIsFatal)
                 "unknown figure 'fig99_missing'");
 }
 
+TEST(FiguresDeathTest, UnknownAppIsFatal)
+{
+    setTinyBudget();
+    EXPECT_EXIT(
+        {
+            // A misspelt name used to be dropped, leaving an empty app
+            // set whose averages printed as -nan.
+            setenv("DCL1_APPS", "T-Alexnet", 1);
+            runFigures({"fig14_overall_ipc"});
+        },
+        ::testing::ExitedWithCode(1),
+        "unknown application 'T-Alexnet'; the catalog is: .*T-AlexNet");
+}
+
 } // anonymous namespace
 } // namespace dcl1::bench

@@ -10,40 +10,7 @@
  *   dcl1run --list-apps
  *   dcl1run --list-designs
  *
- * Options:
- *   --design=NAME     Baseline | PrY | ShY | ShY+CZ[+Boost] | CDXBar*
- *   --app=NAME        application from the 28-app catalog
- *   --trace=FILE      replay a trace file instead of a catalog app
- *   --cycles=N        measured cycles        (default 30000)
- *   --warmup=N        warmup cycles          (default 40000)
- *   --cores=N --slices=N --channels=N        platform scaling
- *   --seed=N          workload seed
- *   --stats=FILE      dump the full statistics tree ('-' = stdout;
- *                     files are published atomically via tmp+rename)
- *   --stats-json[=F]  the same tree as one JSON document ('-'/default
- *                     = stdout)
- *   --timeline[=F]    cycle-interval timeline JSONL (default
- *                     timeline.jsonl); one row per interval
- *   --timeline-interval=N  sampling interval in cycles (default
- *                     DCL1_TIMELINE_INTERVAL, 1024)
- *   --latency[=N]     request-latency attribution, sampling 1 in N
- *                     reads (default 1); prints a latency-breakdown
- *                     table under the headline metrics
- *   --trace           Chrome trace-event export to trace.json
- *                     (--trace-out=FILE renames it); implies --latency
- *   --drain           drain in-flight traffic after the run and report
- *   --profile[=FILE]  host phase profiling (src/prof/): self/total
- *                     wall-time table on stderr; FILE gets the full
- *                     JSON report (atomic). DCL1_PROF=1 equivalent.
- *                     Combined with --trace, host phase slices ride
- *                     along in the Chrome trace.
- *   --budget=N        fail the run after N simulated cycles (watchdog)
- *   --jsonl=FILE      append a JSON run record (timing, outcome)
- *   --crash-dir=DIR   write a structured crash record on failure
- *                     (DCL1_CRASH_DIR)
- *   --replay-crash=FILE  re-run the exact configuration recorded in a
- *                     crash record written by a failed batch cell
- *   --help            usage + the exit-code contract
+ * `dcl1run --help` lists every option (tools/cli.hh).
  *
  * The simulation executes as a single job of the src/exec engine: a
  * panic inside the model is reported as a failed run (exit 2) with
@@ -56,11 +23,7 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <limits>
-#include <optional>
 
 #include "common/env.hh"
 #include "common/log.hh"
@@ -72,6 +35,7 @@
 #include "exec/job_runner.hh"
 #include "exec/result_sink.hh"
 #include "stats/prof_trace.hh"
+#include "tools/cli.hh"
 #include "workload/app_catalog.hh"
 #include "workload/trace_file.hh"
 
@@ -80,24 +44,16 @@ using namespace dcl1;
 namespace
 {
 
-/** --key=value parser; fatal() on unknown flags. */
 struct Options
 {
-    std::string design = "Sh40+C10+Boost";
-    std::string app = "T-AlexNet";
-    std::string trace;
+    /// The simulated cell: exactly what a crash record replays.
+    exec::CrashConfig cell;
     std::string statsFile;
     std::string statsJsonFile;
     std::string timelineFile;
     Cycle timelineInterval = 0;    ///< 0 = DCL1_TIMELINE_INTERVAL
     std::string traceOutFile;
     std::uint32_t latencyEvery = 0; ///< 0 = attribution disabled
-    Cycle cycles = 30000;
-    Cycle warmup = 40000;
-    std::uint32_t cores = 80;
-    std::uint32_t slices = 32;
-    std::uint32_t channels = 16;
-    std::uint64_t seed = 1;
     dcl1::Cycle budget = 0;
     std::string jsonlFile;
     std::string crashDir;
@@ -107,174 +63,75 @@ struct Options
     bool drain = false;
     bool listApps = false;
     bool listDesigns = false;
-    bool help = false;
 };
-
-std::optional<std::string>
-valueOf(const char *arg, const char *key)
-{
-    const std::size_t n = std::strlen(key);
-    if (std::strncmp(arg, key, n) == 0 && arg[n] == '=')
-        return std::string(arg + n + 1);
-    return std::nullopt;
-}
-
-/// Upper bounds for the strictly parsed numeric flags.
-constexpr std::int64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
-constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
-
-Options
-parseArgs(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (auto v = valueOf(a, "--design"))
-            o.design = *v;
-        else if (auto v = valueOf(a, "--app"))
-            o.app = *v;
-        else if (auto v = valueOf(a, "--trace"))
-            o.trace = *v;
-        else if (auto v = valueOf(a, "--stats"))
-            o.statsFile = *v;
-        else if (std::strcmp(a, "--stats-json") == 0)
-            o.statsJsonFile = "-";
-        else if (auto v = valueOf(a, "--stats-json"))
-            o.statsJsonFile = *v;
-        else if (std::strcmp(a, "--timeline") == 0)
-            o.timelineFile = "timeline.jsonl";
-        else if (auto v = valueOf(a, "--timeline"))
-            o.timelineFile = *v;
-        else if (auto v = valueOf(a, "--timeline-interval"))
-            o.timelineInterval = static_cast<Cycle>(parseEnvInt(
-                "--timeline-interval", v->c_str(), 1, kMaxI64));
-        else if (std::strcmp(a, "--trace") == 0)
-            o.traceOutFile = "trace.json"; // bare: Chrome trace export
-        else if (auto v = valueOf(a, "--trace-out"))
-            o.traceOutFile = *v;
-        else if (std::strcmp(a, "--latency") == 0)
-            o.latencyEvery = 1;
-        else if (auto v = valueOf(a, "--latency"))
-            o.latencyEvery = static_cast<std::uint32_t>(
-                parseEnvInt("--latency", v->c_str(), 1, kMaxU32));
-        else if (auto v = valueOf(a, "--cycles"))
-            o.cycles = static_cast<Cycle>(parseEnvInt(
-                "--cycles", v->c_str(), 1, kMaxI64));
-        else if (auto v = valueOf(a, "--warmup"))
-            o.warmup = static_cast<Cycle>(
-                parseEnvInt("--warmup", v->c_str(), 0, kMaxI64));
-        else if (auto v = valueOf(a, "--cores"))
-            o.cores = static_cast<std::uint32_t>(
-                parseEnvInt("--cores", v->c_str(), 1, kMaxU32));
-        else if (auto v = valueOf(a, "--slices"))
-            o.slices = static_cast<std::uint32_t>(
-                parseEnvInt("--slices", v->c_str(), 1, kMaxU32));
-        else if (auto v = valueOf(a, "--channels"))
-            o.channels = static_cast<std::uint32_t>(
-                parseEnvInt("--channels", v->c_str(), 1, kMaxU32));
-        else if (auto v = valueOf(a, "--seed"))
-            o.seed = static_cast<std::uint64_t>(
-                parseEnvInt("--seed", v->c_str(), 0, kMaxI64));
-        else if (auto v = valueOf(a, "--budget"))
-            o.budget = static_cast<Cycle>(
-                parseEnvInt("--budget", v->c_str(), 1, kMaxI64));
-        else if (auto v = valueOf(a, "--jsonl"))
-            o.jsonlFile = *v;
-        else if (auto v = valueOf(a, "--crash-dir"))
-            o.crashDir = *v;
-        else if (auto v = valueOf(a, "--replay-crash"))
-            o.replayCrash = *v;
-        else if (std::strcmp(a, "--profile") == 0)
-            o.profile = true;
-        else if (auto v = valueOf(a, "--profile")) {
-            o.profile = true;
-            o.profileFile = *v;
-        } else if (std::strcmp(a, "--drain") == 0)
-            o.drain = true;
-        else if (std::strcmp(a, "--list-apps") == 0)
-            o.listApps = true;
-        else if (std::strcmp(a, "--list-designs") == 0)
-            o.listDesigns = true;
-        else if (std::strcmp(a, "--help") == 0 ||
-                 std::strcmp(a, "-h") == 0)
-            o.help = true;
-        else
-            fatal("unknown option '%s' (--help lists them)", a);
-    }
-    return o;
-}
-
-void
-printHelp()
-{
-    std::printf(
-        "dcl1run — run one (design, workload) simulation\n"
-        "\n"
-        "  --design=NAME     Baseline | PrY | ShY | ShY+CZ[+Boost] | "
-        "CDXBar*\n"
-        "  --app=NAME        application from the catalog "
-        "(--list-apps)\n"
-        "  --trace=FILE      replay a trace file instead\n"
-        "  --cycles=N --warmup=N          simulated interval\n"
-        "  --cores=N --slices=N --channels=N  platform scaling\n"
-        "  --seed=N          workload seed\n"
-        "  --stats=FILE      full statistics tree ('-' = stdout; "
-        "atomic)\n"
-        "  --stats-json[=F]  statistics tree as JSON ('-'/default = "
-        "stdout)\n"
-        "  --timeline[=F]    interval timeline JSONL "
-        "(timeline.jsonl)\n"
-        "  --timeline-interval=N  cycles per row "
-        "(DCL1_TIMELINE_INTERVAL)\n"
-        "  --latency[=N]     latency attribution, 1-in-N reads "
-        "(default 1)\n"
-        "  --trace           Chrome trace export to trace.json "
-        "(--trace-out=FILE)\n"
-        "  --drain           drain in-flight traffic and report\n"
-        "  --profile[=FILE]  host phase profile: table on stderr, "
-        "JSON to FILE\n"
-        "  --budget=N        simulated-cycle watchdog\n"
-        "  --jsonl=FILE      append a JSON run record\n"
-        "  --crash-dir=DIR   crash record on failure (DCL1_CRASH_DIR)\n"
-        "  --replay-crash=FILE  re-run a recorded crash exactly\n"
-        "\n"
-        "%s\n",
-        exec::kExitCodeContract);
-}
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    Options o = parseArgs(argc, argv);
-
-    if (o.help) {
-        printHelp();
+    Options o;
+    o.cell.design = "Sh40+C10+Boost";
+    o.cell.app = "T-AlexNet";
+    using cli::kMaxI64;
+    cli::Flags f("dcl1run — run one (design, workload) simulation");
+    f.text("--design=NAME", "Baseline | PrY | ShY | ShY+CZ[+Boost] | CDXBar*",
+           o.cell.design);
+    f.text("--app=NAME", "catalog application (--list-apps)", o.cell.app);
+    f.text("--trace=FILE", "replay a trace file instead of --app",
+           o.cell.trace);
+    f.integer("--cycles=N", "measured cycles", o.cell.measure, 1, kMaxI64);
+    f.integer("--warmup=N", "warmup cycles", o.cell.warmup, 0, kMaxI64);
+    cli::addPlatformFlags(f, o.cell);
+    f.text("--stats=FILE", "statistics tree ('-' = stdout)", o.statsFile);
+    // std::string("-"): a one-char literal assigned here trips GCC 12's
+    // false-positive -Wrestrict in optimized builds.
+    f.bare("--stats-json", "statistics tree as JSON on stdout",
+           [&o] { o.statsJsonFile = std::string("-"); });
+    f.text("--stats-json=FILE", "statistics tree as JSON", o.statsJsonFile);
+    f.bare("--timeline", "interval timeline JSONL to timeline.jsonl",
+           [&o] { o.timelineFile = "timeline.jsonl"; });
+    f.text("--timeline=FILE", "interval timeline JSONL", o.timelineFile);
+    f.integer("--timeline-interval=N",
+              "cycles per row (DCL1_TIMELINE_INTERVAL)", o.timelineInterval,
+              1, kMaxI64);
+    f.bare("--latency", "latency attribution of every read",
+           [&o] { o.latencyEvery = 1; });
+    f.integer("--latency=N", "latency attribution, 1-in-N reads",
+              o.latencyEvery, 1, cli::kMaxU32);
+    f.bare("--trace", "Chrome trace to trace.json; implies --latency",
+           [&o] { o.traceOutFile = "trace.json"; });
+    f.text("--trace-out=FILE", "Chrome trace to FILE", o.traceOutFile);
+    f.flag("--drain", "drain in-flight traffic and report", o.drain);
+    f.flag("--profile", "host phase profile on stderr (DCL1_PROF)", o.profile);
+    f.valued("--profile=FILE", "host phase profile, JSON also to FILE",
+             [&o](const std::string &file) {
+                 o.profile = true;
+                 o.profileFile = file;
+             });
+    f.integer("--budget=N", "simulated-cycle watchdog", o.budget, 1, kMaxI64);
+    f.text("--jsonl=FILE", "append a JSON run record", o.jsonlFile);
+    f.text("--crash-dir=DIR", "crash record on failure (DCL1_CRASH_DIR)",
+           o.crashDir);
+    f.text("--replay-crash=FILE", "re-run the cell a crash record holds",
+           o.replayCrash);
+    f.flag("--list-apps", "print the application catalog", o.listApps);
+    f.flag("--list-designs", "print the design presets", o.listDesigns);
+    if (!f.parse(argc, argv))
         return exec::kExitOk;
-    }
 
     if (!o.replayCrash.empty()) {
         // Forensic replay: rebuild exactly the cell the crash record
-        // describes; explicit command-line overrides still win where
-        // given *after* the flag (parse order), but the point is a
-        // faithful re-run.
-        const exec::CrashConfig crash =
-            exec::loadCrashRecord(o.replayCrash);
-        o.design = crash.design;
-        o.app = crash.app;
-        o.trace = crash.trace;
-        o.cores = crash.cores;
-        o.slices = crash.slices;
-        o.channels = crash.channels;
-        o.seed = crash.seed;
-        o.cycles = crash.measure;
-        o.warmup = crash.warmup;
+        // describes. The record replaces the cell options (design,
+        // app, trace, platform, cycles, warmup) wherever they appear
+        // on the command line; every other option applies.
+        o.cell = exec::loadCrashRecord(o.replayCrash);
         inform("replaying crash record '%s' (%s): %s",
-               o.replayCrash.c_str(), crash.label.c_str(),
-               crash.error.empty() ? "no recorded error"
-                                   : crash.error.c_str());
+               o.replayCrash.c_str(), o.cell.label.c_str(),
+               o.cell.error.empty() ? "no recorded error"
+                                    : o.cell.error.c_str());
     }
+    const exec::CrashConfig &cell = o.cell;
 
     if (o.listApps) {
         for (const auto &app : workload::appCatalog())
@@ -293,32 +150,32 @@ main(int argc, char **argv)
     }
 
     core::SystemConfig sys =
-        core::SystemConfig::scaled(o.cores, o.slices, o.channels);
-    sys.seed = o.seed;
-    const core::DesignConfig design = core::designByName(o.design);
+        core::SystemConfig::scaled(cell.cores, cell.slices, cell.channels);
+    sys.seed = cell.seed;
+    const core::DesignConfig design = core::designByName(cell.design);
 
     std::unique_ptr<core::GpuSystem> gpu;
     std::unique_ptr<workload::TraceFileSource> trace_probe;
-    if (!o.trace.empty()) {
+    if (!cell.trace.empty()) {
         // Trace mode: wrap the trace as the workload via a synthetic
         // params shell (GpuSystem owns its own source for catalog
         // apps; for traces we simulate via the trace-driven app).
         workload::WorkloadParams shell;
-        shell.name = o.trace;
+        shell.name = cell.trace;
         trace_probe = std::make_unique<workload::TraceFileSource>(
-            o.trace, o.cores);
+            cell.trace, cell.cores);
         shell.warpsPerCore = trace_probe->warpsPerCore(0);
         inform("trace '%s': %llu instructions, %u warps/core",
-               o.trace.c_str(),
+               cell.trace.c_str(),
                static_cast<unsigned long long>(
                    trace_probe->instructionCount()),
                shell.warpsPerCore);
         gpu = std::make_unique<core::GpuSystem>(
             sys, design, shell,
-            std::make_unique<workload::TraceFileSource>(o.trace,
-                                                        o.cores));
+            std::make_unique<workload::TraceFileSource>(
+                cell.trace, cell.cores));
     } else {
-        const auto &app = workload::appByName(o.app);
+        const auto &app = workload::appByName(cell.app);
         gpu = std::make_unique<core::GpuSystem>(sys, design, app.params);
     }
 
@@ -365,26 +222,19 @@ main(int argc, char **argv)
     }
     std::vector<exec::JobSpec> specs(1);
     specs[0].label =
-        design.name + "/" + (o.trace.empty() ? o.app : o.trace);
+        design.name + "/" + (cell.trace.empty() ? cell.app : cell.trace);
     // Crash-diagnostic cooperation (see exec/crash_record.hh): the
     // replayable configuration up front, the machine state on death.
-    const std::string crash_cfg = csprintf(
-        "\"design\":\"%s\",\"%s\":\"%s\",\"cores\":%u,\"slices\":%u,"
-        "\"channels\":%u,\"seed\":%llu,\"measure\":%llu,\"warmup\":%llu",
-        exec::jsonEscape(design.name).c_str(),
-        o.trace.empty() ? "app" : "trace",
-        exec::jsonEscape(o.trace.empty() ? o.app : o.trace).c_str(),
-        o.cores, o.slices, o.channels,
-        static_cast<unsigned long long>(o.seed),
-        static_cast<unsigned long long>(o.cycles),
-        static_cast<unsigned long long>(o.warmup));
+    exec::CrashConfig replay = cell;
+    replay.design = design.name;
+    const std::string crash_cfg = exec::crashConfigJson(replay);
     specs[0].fn = [&](exec::JobContext &ctx) {
         ctx.setCrashContext(crash_cfg);
         core::GpuSystem::CycleHeartbeat heartbeat;
         if (ctx.cycleBudget() != 0)
             heartbeat = [&ctx](Cycle now) { ctx.checkCycleBudget(now); };
         try {
-            gpu->run(o.cycles, o.warmup, heartbeat);
+            gpu->run(cell.measure, cell.warmup, heartbeat);
             gpu->finishTelemetry();
         } catch (...) {
             try {
@@ -415,10 +265,10 @@ main(int argc, char **argv)
     std::printf("design     %s\n", design.name.c_str());
     std::printf("platform   %s\n", sys.summary().c_str());
     std::printf("workload   %s\n",
-                o.trace.empty() ? o.app.c_str() : o.trace.c_str());
+                cell.trace.empty() ? cell.app.c_str() : cell.trace.c_str());
     std::printf("cycles     %llu (+%llu warmup)\n",
                 static_cast<unsigned long long>(rm.cycles),
-                static_cast<unsigned long long>(o.warmup));
+                static_cast<unsigned long long>(cell.warmup));
     std::printf("IPC        %.3f\n", rm.ipc);
     std::printf("L1 miss    %.3f\n", rm.l1MissRate);
     std::printf("replratio  %.3f (avg replicas %.2f)\n",

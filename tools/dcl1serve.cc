@@ -9,31 +9,10 @@
  *             --csv=sweep.csv
  *   dcl1serve --equivalence-check --app=T-AlexNet --design=Baseline
  *
- * Options:
- *   --apps=X          job mix: a .json mix file (array of
- *                     {"app","weight","cores","budget"} objects) or a
- *                     comma list of catalog apps (equal weights)
- *   --arrivals=FILE   trace-driven arrivals (JSONL of {"cycle","app"
- *                     [,"cores","budget"]}); disables --lambda
- *   --lambda=R[,R..]  offered load sweep, jobs per 1000 cycles
- *   --policy=P[,P..]  fcfs | sjf | rr
- *   --design=D[,D..]  design presets (see dcl1run --list-designs)
- *   --num-jobs=N      offered jobs per cell        (default 100)
- *   --horizon=N       hard cycle cap               (default 1000000)
- *   --seed=N          arrival/mix/job-stream seed  (default 1)
- *   --cores=N --slices=N --channels=N              platform scaling
- *   --default-cores=N cores per job when the mix doesn't say
- *                     (default: footprint-class sizing)
- *   --budget-scale=X  scale every job's instruction budget
- *   --job-log=FILE    per-job JSONL (single cell only)
- *   --job-log-dir=DIR per-job JSONL per cell, <design>_<policy>_<L>.jsonl
- *   --csv=FILE        summary CSV, one row per cell (atomic)
- *   --jobs=N          worker threads (default: hardware)
- *   --budget=N        per-cell simulated-cycle watchdog
- *   --equivalence-check  verify one serve job granted every core
- *                     reproduces the classic path (--app, --design,
- *                     --cycles, --seed); exit 2 on digest mismatch
- *   --help            usage + the exit-code contract
+ * `dcl1serve --help` lists every option (tools/cli.hh).
+ * --equivalence-check verifies that one serve job granted every core
+ * reproduces the classic path (--app, --design, --cycles, --seed) and
+ * exits 2 on a digest mismatch.
  *
  * Determinism: the same flags and seed give byte-identical stdout,
  * CSV, and job logs for any --jobs value — job-log lines are emitted
@@ -42,13 +21,9 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/log.hh"
 #include "core/experiment.hh"
 #include "core/gpu_system.hh"
@@ -58,6 +33,7 @@
 #include "exec/result_sink.hh"
 #include "serve/serve_sim.hh"
 #include "stats/stats.hh"
+#include "tools/cli.hh"
 #include "workload/app_catalog.hh"
 
 using namespace dcl1;
@@ -69,158 +45,22 @@ struct Options
 {
     std::string apps = "T-AlexNet";
     std::string arrivalsFile;
-    std::string lambdas = "0.5";
-    std::string policies = "fcfs";
-    std::string designs = "Baseline";
-    std::size_t numJobs = 100;
-    Cycle horizon = 1'000'000;
-    std::uint64_t seed = 1;
+    std::vector<double> lambdas = {0.5};
+    std::vector<std::string> policies = {"fcfs"};
+    std::vector<std::string> designs = {"Baseline"};
     std::uint32_t cores = 80;
     std::uint32_t slices = 32;
     std::uint32_t channels = 16;
-    std::uint32_t defaultCores = 0;
-    double budgetScale = 1.0;
+    std::uint64_t seed = 1;
+    serve::ServeOptions run;  ///< per-cell policy and load unset
+    exec::ExecOptions engine; ///< workers and cycle budget
     std::string jobLogFile;
     std::string jobLogDir;
     std::string csvFile;
-    std::size_t workers = 0;
-    Cycle budget = 0;
     bool equivalenceCheck = false;
     std::string eqApp = "T-AlexNet";
     Cycle eqCycles = 20000;
-    bool help = false;
 };
-
-std::optional<std::string>
-valueOf(const char *arg, const char *key)
-{
-    const std::size_t n = std::strlen(key);
-    if (std::strncmp(arg, key, n) == 0 && arg[n] == '=')
-        return std::string(arg + n + 1);
-    return std::nullopt;
-}
-
-double
-parseDouble(const char *flag, const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        fatal("%s: '%s' is not a number", flag, text.c_str());
-    return v;
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t comma = s.find(',', start);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > start)
-            out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-Options
-parseArgs(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (auto v = valueOf(a, "--apps"))
-            o.apps = *v;
-        else if (auto v = valueOf(a, "--arrivals"))
-            o.arrivalsFile = *v;
-        else if (auto v = valueOf(a, "--lambda"))
-            o.lambdas = *v;
-        else if (auto v = valueOf(a, "--policy"))
-            o.policies = *v;
-        else if (auto v = valueOf(a, "--design"))
-            o.designs = *v;
-        else if (auto v = valueOf(a, "--num-jobs"))
-            o.numJobs = static_cast<std::size_t>(parseEnvInt(
-                "--num-jobs", v->c_str(), 1, 1'000'000'000));
-        else if (auto v = valueOf(a, "--horizon"))
-            o.horizon = static_cast<Cycle>(parseEnvInt(
-                "--horizon", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (auto v = valueOf(a, "--seed"))
-            o.seed = std::strtoull(v->c_str(), nullptr, 10);
-        else if (auto v = valueOf(a, "--cores"))
-            o.cores = std::strtoul(v->c_str(), nullptr, 10);
-        else if (auto v = valueOf(a, "--slices"))
-            o.slices = std::strtoul(v->c_str(), nullptr, 10);
-        else if (auto v = valueOf(a, "--channels"))
-            o.channels = std::strtoul(v->c_str(), nullptr, 10);
-        else if (auto v = valueOf(a, "--default-cores"))
-            o.defaultCores = static_cast<std::uint32_t>(parseEnvInt(
-                "--default-cores", v->c_str(), 1, 1'000'000));
-        else if (auto v = valueOf(a, "--budget-scale"))
-            o.budgetScale = parseDouble("--budget-scale", *v);
-        else if (auto v = valueOf(a, "--job-log"))
-            o.jobLogFile = *v;
-        else if (auto v = valueOf(a, "--job-log-dir"))
-            o.jobLogDir = *v;
-        else if (auto v = valueOf(a, "--csv"))
-            o.csvFile = *v;
-        else if (auto v = valueOf(a, "--jobs"))
-            o.workers = static_cast<std::size_t>(
-                parseEnvInt("--jobs", v->c_str(), 1, 4096));
-        else if (auto v = valueOf(a, "--budget"))
-            o.budget = static_cast<Cycle>(parseEnvInt(
-                "--budget", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (std::strcmp(a, "--equivalence-check") == 0)
-            o.equivalenceCheck = true;
-        else if (auto v = valueOf(a, "--app"))
-            o.eqApp = *v;
-        else if (auto v = valueOf(a, "--cycles"))
-            o.eqCycles = static_cast<Cycle>(parseEnvInt(
-                "--cycles", v->c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (std::strcmp(a, "--help") == 0 ||
-                 std::strcmp(a, "-h") == 0)
-            o.help = true;
-        else
-            fatal("unknown option '%s' (--help lists them)", a);
-    }
-    return o;
-}
-
-void
-printHelp()
-{
-    std::printf(
-        "dcl1serve — multi-tenant serving: open-loop job traffic, "
-        "tail latency\n"
-        "\n"
-        "  --apps=X          mix .json file or comma list of catalog "
-        "apps\n"
-        "  --arrivals=FILE   trace-driven arrivals JSONL (disables "
-        "--lambda)\n"
-        "  --lambda=R[,R..]  offered load, jobs per 1000 cycles\n"
-        "  --policy=P[,P..]  fcfs | sjf | rr\n"
-        "  --design=D[,D..]  design presets (dcl1run --list-designs)\n"
-        "  --num-jobs=N --horizon=N --seed=N      traffic shape\n"
-        "  --cores=N --slices=N --channels=N      platform scaling\n"
-        "  --default-cores=N --budget-scale=X     job sizing\n"
-        "  --job-log=FILE    per-job JSONL (single cell only)\n"
-        "  --job-log-dir=DIR per-job JSONL per cell\n"
-        "  --csv=FILE        summary CSV, one row per cell (atomic)\n"
-        "  --jobs=N          worker threads\n"
-        "  --budget=N        per-cell simulated-cycle watchdog\n"
-        "  --equivalence-check  single-job serve == classic single-app\n"
-        "                    (--app=NAME --design=NAME --cycles=N "
-        "--seed=N)\n"
-        "\n"
-        "%s\n",
-        exec::kExitCodeContract);
-}
 
 /** One (design, policy, lambda) point of the sweep. */
 struct Cell
@@ -234,45 +74,20 @@ struct Cell
 std::string
 csvRow(const Cell &c, std::uint64_t seed)
 {
+    using stats::formatDouble;
     const serve::ServeSummary &s = c.summary;
-    std::string row;
-    row += c.design;
-    row += ',';
-    row += serve::policyName(c.policy);
-    row += ',';
-    row += stats::formatDouble(c.lambda);
-    row += ',';
-    row += std::to_string(seed);
-    row += ',';
-    row += std::to_string(s.offered);
-    row += ',';
-    row += std::to_string(s.started);
-    row += ',';
-    row += std::to_string(s.completed);
-    row += ',';
-    row += std::to_string(s.censored);
-    row += ',';
-    row += std::to_string(s.endCycle);
-    row += ',';
-    row += stats::formatDouble(s.offeredPerKcycle);
-    row += ',';
-    row += stats::formatDouble(s.completedPerKcycle);
-    row += ',';
-    row += stats::formatDouble(s.meanLatency);
-    row += ',';
-    row += stats::formatDouble(s.p50Latency);
-    row += ',';
-    row += stats::formatDouble(s.p95Latency);
-    row += ',';
-    row += stats::formatDouble(s.p99Latency);
-    row += ',';
-    row += stats::formatDouble(s.meanQueueDelay);
-    row += ',';
-    row += stats::formatDouble(s.jainFairness);
-    row += ',';
-    row += stats::formatDouble(s.machine.ipc);
-    row += ',';
-    row += stats::formatDouble(s.machine.l1MissRate);
+    std::string row = c.design + ',' + serve::policyName(c.policy);
+    for (const std::string &field :
+         {formatDouble(c.lambda), std::to_string(seed),
+          std::to_string(s.offered), std::to_string(s.started),
+          std::to_string(s.completed), std::to_string(s.censored),
+          std::to_string(s.endCycle), formatDouble(s.offeredPerKcycle),
+          formatDouble(s.completedPerKcycle), formatDouble(s.meanLatency),
+          formatDouble(s.p50Latency), formatDouble(s.p95Latency),
+          formatDouble(s.p99Latency), formatDouble(s.meanQueueDelay),
+          formatDouble(s.jainFairness), formatDouble(s.machine.ipc),
+          formatDouble(s.machine.l1MissRate)})
+        row += ',' + field;
     return row;
 }
 
@@ -292,21 +107,47 @@ jobLogPathFor(const std::string &dir, const Cell &c)
 int
 main(int argc, char **argv)
 {
-    const Options o = parseArgs(argc, argv);
-
-    if (o.help) {
-        printHelp();
+    Options o;
+    using cli::kMaxI64;
+    cli::Flags f("dcl1serve — multi-tenant serving: job traffic, tail "
+                 "latency");
+    f.text("--apps=X", "job mix: a .json mix file or a comma list of apps",
+           o.apps);
+    f.text("--arrivals=FILE", "trace-driven arrivals JSONL (no --lambda)",
+           o.arrivalsFile);
+    f.reals("--lambda=R[,R..]", "offered loads, jobs per 1000 cycles",
+            o.lambdas, 0.0, cli::kMaxReal);
+    f.list("--policy=P[,P..]", "fcfs | sjf | rr", o.policies);
+    f.list("--design=D[,D..]", "design presets", o.designs);
+    f.integer("--num-jobs=N", "offered jobs per cell", o.run.numJobs, 1,
+              1'000'000'000);
+    f.integer("--horizon=N", "hard cycle cap", o.run.horizon, 1, kMaxI64);
+    cli::addPlatformFlags(f, o);
+    f.integer("--default-cores=N", "cores per job the mix does not size",
+              o.run.defaultCores, 1, 1'000'000);
+    f.real("--budget-scale=X", "scale every job's instruction budget",
+           o.run.budgetScale, 0.0, cli::kMaxReal);
+    f.text("--job-log=FILE", "per-job JSONL (single cell)", o.jobLogFile);
+    f.text("--job-log-dir=DIR", "per-job JSONL per cell", o.jobLogDir);
+    f.text("--csv=FILE", "summary CSV, one row per cell", o.csvFile);
+    f.integer("--jobs=N", "worker threads", o.engine.jobs, 1, 4096);
+    f.integer("--budget=N", "per-cell cycle watchdog", o.engine.cycleBudget, 1,
+              kMaxI64);
+    f.flag("--equivalence-check", "one serve job == the classic run",
+           o.equivalenceCheck);
+    f.text("--app=NAME", "--equivalence-check app", o.eqApp);
+    f.integer("--cycles=N", "--equivalence-check cycles", o.eqCycles, 1,
+              kMaxI64);
+    if (!f.parse(argc, argv))
         return exec::kExitOk;
-    }
 
     core::SystemConfig sys =
         core::SystemConfig::scaled(o.cores, o.slices, o.channels);
     sys.seed = o.seed;
 
     if (o.equivalenceCheck) {
-        const std::vector<std::string> designs = splitCsv(o.designs);
         bool all_ok = true;
-        for (const std::string &dname : designs) {
+        for (const std::string &dname : o.designs) {
             const core::DesignConfig design = core::designByName(dname);
             const serve::EquivalenceReport rep =
                 serve::checkSingleJobEquivalence(sys, design, o.eqApp,
@@ -328,24 +169,18 @@ main(int argc, char **argv)
     const serve::JobMix mix = mixIsFile ? serve::loadMixFile(o.apps)
                                         : serve::mixFromAppList(o.apps);
 
-    std::vector<serve::TraceJob> trace;
     if (!o.arrivalsFile.empty())
-        trace = serve::loadJobTrace(o.arrivalsFile);
+        o.run.trace = serve::loadJobTrace(o.arrivalsFile);
 
-    const std::vector<std::string> designs = splitCsv(o.designs);
-    const std::vector<std::string> policies = splitCsv(o.policies);
-    std::vector<double> lambdas;
-    if (trace.empty())
-        for (const std::string &l : splitCsv(o.lambdas))
-            lambdas.push_back(parseDouble("--lambda", l));
-    else
-        lambdas.push_back(0.0); // trace-driven: one load point
-    if (designs.empty() || policies.empty() || lambdas.empty())
+    // Trace-driven arrivals make one load point, labelled 0.
+    const std::vector<double> lambdas =
+        o.run.trace.empty() ? o.lambdas : std::vector<double>{0.0};
+    if (o.designs.empty() || o.policies.empty() || lambdas.empty())
         fatal("need at least one design, policy, and lambda");
 
     std::vector<Cell> cells;
-    for (const std::string &d : designs)
-        for (const std::string &p : policies)
+    for (const std::string &d : o.designs)
+        for (const std::string &p : o.policies)
             for (const double l : lambdas) {
                 Cell c;
                 c.design = d;
@@ -359,11 +194,8 @@ main(int argc, char **argv)
               "use --job-log-dir",
               cells.size());
 
-    exec::ExecOptions eopts;
-    eopts.jobs = o.workers;
-    eopts.cycleBudget = o.budget;
-    eopts.maxRetries = 0;
-    exec::JobRunner runner(eopts);
+    o.engine.maxRetries = 0;
+    exec::JobRunner runner(o.engine);
     std::vector<exec::JobSpec> specs(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
         Cell &cell = cells[i];
@@ -374,16 +206,11 @@ main(int argc, char **argv)
             Cell &me = cells[i];
             const core::DesignConfig design =
                 core::designByName(me.design);
-            serve::ServeOptions sopts;
+            serve::ServeOptions sopts = o.run;
             sopts.policy = me.policy;
             sopts.lambdaJobsPerKcycle =
                 me.lambda > 0.0 ? me.lambda : 1.0;
-            sopts.numJobs = o.numJobs;
-            sopts.horizon = o.horizon;
             sopts.seed = o.seed;
-            sopts.budgetScale = o.budgetScale;
-            sopts.defaultCores = o.defaultCores;
-            sopts.trace = trace;
             serve::ServeSim sim(sys, design, mix, sopts);
             std::unique_ptr<exec::AppendLog> log;
             std::string path = o.jobLogFile;
@@ -421,7 +248,7 @@ main(int argc, char **argv)
     std::printf("mix        %s (%zu entr%s)%s\n", o.apps.c_str(),
                 mix.entries.size(),
                 mix.entries.size() == 1 ? "y" : "ies",
-                trace.empty() ? "" : " [trace-driven arrivals]");
+                o.run.trace.empty() ? "" : " [trace-driven arrivals]");
     std::printf("%-18s %-5s %7s %6s %6s %5s %9s %9s %9s %7s %6s\n",
                 "design", "pol", "lambda", "jobs", "done", "cens",
                 "p50", "p95", "p99", "goodput", "jain");

@@ -11,7 +11,8 @@
  * Omitting --apps sweeps the whole 28-app catalog; omitting --designs
  * sweeps the paper's main five. Columns: design, app, ipc, speedup,
  * l1_missrate, repl_ratio, avg_replicas, read_rtt, noc1_flits,
- * noc2_flits, dram_reads.
+ * noc2_flits, dram_reads. `dcl1sweep --help` lists every option
+ * (tools/cli.hh).
  *
  * The grid runs on the src/exec engine: independent cells execute
  * concurrently (--jobs=N or DCL1_JOBS; default one worker per
@@ -32,18 +33,14 @@
  * resumable. --jsonl=FILE (or DCL1_JOBS_LOG) appends per-job wall
  * time and outcome records.
  *
- * --timeline-dir[=DIR] writes one cycle-interval timeline JSONL per
- * cell (default DIR: <run-dir>/timeline, or ./timeline without a run
- * directory); --timeline-interval=N sets the row cadence. Each job's
- * timeline path is surfaced in the end-of-run report and recorded in
- * jobs.jsonl, so a resumed run can find the partial timelines of
- * cells it skips.
+ * With --timeline-dir, each job's timeline path is surfaced in the
+ * end-of-run report and recorded in jobs.jsonl, so a resumed run can
+ * find the partial timelines of cells it skips.
  */
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -56,36 +53,13 @@
 #include "exec/job_runner.hh"
 #include "exec/job_set.hh"
 #include "exec/run_manifest.hh"
+#include "tools/cli.hh"
 #include "workload/app_catalog.hh"
 
 using namespace dcl1;
 
 namespace
 {
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-std::string
-joinCsv(const std::vector<std::string> &names)
-{
-    std::string out;
-    for (const auto &n : names) {
-        if (!out.empty())
-            out += ',';
-        out += n;
-    }
-    return out;
-}
 
 /**
  * Deterministic interrupt injection for the kill-and-resume tests and
@@ -111,49 +85,6 @@ class InterruptAfterSink : public exec::ResultSink
     std::size_t done_ = 0;
 };
 
-void
-printHelp()
-{
-    std::printf(
-        "dcl1sweep — parallel (design, app) grid runner -> CSV\n"
-        "\n"
-        "  --designs=A,B,..   designs (default: the paper's main 5)\n"
-        "  --apps=A,B,..      catalog apps (default: all 28)\n"
-        "  --out=FILE         CSV output ('-' = stdout; files are\n"
-        "                     published atomically via tmp+rename)\n"
-        "  --jobs=N           worker threads (DCL1_JOBS; 0 = #cores)\n"
-        "  --profile          host phase profiling (DCL1_PROF): "
-        "per-cell\n"
-        "                     trees in --jsonl records, aggregate "
-        "phase\n"
-        "                     shares on stderr; CSV is unchanged\n"
-        "  --budget=N         per-cell simulated-cycle watchdog\n"
-        "                     (DCL1_JOB_BUDGET)\n"
-        "  --retries=N        retries for retryable failures, with a\n"
-        "                     doubling budget on timeouts (DCL1_RETRIES;"
-        "\n"
-        "                     default 2)\n"
-        "  --run-dir=DIR      durable run directory (DCL1_RUN_DIR):\n"
-        "                     manifest + per-cell write-ahead log +\n"
-        "                     crash records; safe to re-run/resume\n"
-        "  --resume=DIR       like --run-dir, but requires DIR to hold\n"
-        "                     an existing manifest; completed cells are\n"
-        "                     skipped and the CSV comes out identical\n"
-        "                     to an uninterrupted run\n"
-        "  --crash-dir=DIR    crash records for failed cells\n"
-        "                     (DCL1_CRASH_DIR; default <run-dir>/crash)\n"
-        "  --jsonl=FILE       append per-job JSON records "
-        "(DCL1_JOBS_LOG)\n"
-        "  --timeline-dir[=DIR]  one timeline JSONL per cell (default\n"
-        "                     <run-dir>/timeline or ./timeline)\n"
-        "  --timeline-interval=N  cycles per timeline row\n"
-        "                     (DCL1_TIMELINE_INTERVAL)\n"
-        "  --interrupt-after=N  testing: inject SIGINT after N cells\n"
-        "\n"
-        "%s\n",
-        exec::kExitCodeContract);
-}
-
 } // anonymous namespace
 
 int
@@ -163,63 +94,49 @@ main(int argc, char **argv)
         "Baseline", "Pr40", "Sh40", "Sh40+C10", "Sh40+C10+Boost"};
     std::vector<std::string> app_names;
     std::string out_path = "-";
-    std::string run_dir;
+    std::string run_dir = envStrOr("DCL1_RUN_DIR", "");
     bool resume_only = false;
     std::size_t interrupt_after = 0;
     bool timeline_requested = false;
     std::string timeline_dir;
     Cycle timeline_interval = 0;
     exec::ExecOptions eopts = exec::ExecOptions::fromEnv();
-    run_dir = envStrOr("DCL1_RUN_DIR", run_dir);
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a.rfind("--designs=", 0) == 0)
-            design_names = splitCsv(a.substr(10));
-        else if (a.rfind("--apps=", 0) == 0)
-            app_names = splitCsv(a.substr(7));
-        else if (a.rfind("--out=", 0) == 0)
-            out_path = a.substr(6);
-        else if (a.rfind("--jobs=", 0) == 0)
-            eopts.jobs = static_cast<unsigned>(parseEnvInt(
-                "--jobs", a.substr(7).c_str(), 1, 4096));
-        else if (a.rfind("--budget=", 0) == 0)
-            eopts.cycleBudget = static_cast<Cycle>(parseEnvInt(
-                "--budget", a.substr(9).c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (a.rfind("--retries=", 0) == 0)
-            eopts.maxRetries = static_cast<unsigned>(parseEnvInt(
-                "--retries", a.substr(10).c_str(), 0, 100));
-        else if (a.rfind("--run-dir=", 0) == 0)
-            run_dir = a.substr(10);
-        else if (a.rfind("--resume=", 0) == 0) {
-            run_dir = a.substr(9);
-            resume_only = true;
-        } else if (a.rfind("--crash-dir=", 0) == 0)
-            eopts.crashDir = a.substr(12);
-        else if (a.rfind("--jsonl=", 0) == 0)
-            eopts.jsonlPath = a.substr(8);
-        else if (a == "--timeline-dir")
-            timeline_requested = true;
-        else if (a.rfind("--timeline-dir=", 0) == 0) {
-            timeline_dir = a.substr(15);
-            timeline_requested = true;
-        } else if (a.rfind("--timeline-interval=", 0) == 0)
-            timeline_interval = static_cast<Cycle>(parseEnvInt(
-                "--timeline-interval", a.substr(20).c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (a.rfind("--interrupt-after=", 0) == 0)
-            interrupt_after = static_cast<std::size_t>(parseEnvInt(
-                "--interrupt-after", a.substr(18).c_str(), 1,
-                std::numeric_limits<std::int64_t>::max()));
-        else if (a == "--profile")
-            eopts.profile = true;
-        else if (a == "--help" || a == "-h") {
-            printHelp();
-            return exec::kExitOk;
-        } else
-            fatal("unknown option '%s' (--help lists them)", a.c_str());
-    }
+    cli::Flags f("dcl1sweep — parallel (design, app) grid runner -> CSV");
+    f.list("--designs=A,B,..", "designs", design_names);
+    f.list("--apps=A,B,..", "catalog apps (default: all 28)", app_names);
+    f.text("--out=FILE", "CSV output ('-' = stdout)", out_path);
+    f.integer("--jobs=N", "worker threads (DCL1_JOBS; 0: one per core)",
+              eopts.jobs, 1, 4096);
+    f.flag("--profile", "host phase profiling (DCL1_PROF)", eopts.profile);
+    f.integer("--budget=N", "per-cell cycle watchdog (DCL1_JOB_BUDGET)",
+              eopts.cycleBudget, 1, cli::kMaxI64);
+    f.integer("--retries=N", "retries of retryable failures (DCL1_RETRIES)",
+              eopts.maxRetries, 0, 100);
+    f.text("--run-dir=DIR", "durable run directory (DCL1_RUN_DIR)",
+           run_dir);
+    f.valued("--resume=DIR", "continue the run in DIR, which must exist",
+             [&](const std::string &dir) {
+                 run_dir = dir;
+                 resume_only = true;
+             });
+    f.text("--crash-dir=DIR", "crash records (DCL1_CRASH_DIR)",
+           eopts.crashDir);
+    f.text("--jsonl=FILE", "per-job JSON records (DCL1_JOBS_LOG)",
+           eopts.jsonlPath);
+    f.flag("--timeline-dir", "one timeline per cell in <run-dir>/timeline",
+           timeline_requested);
+    f.valued("--timeline-dir=DIR", "one timeline per cell in DIR",
+             [&](const std::string &dir) {
+                 timeline_dir = dir;
+                 timeline_requested = true;
+             });
+    f.integer("--timeline-interval=N", "cycles per timeline row",
+              timeline_interval, 1, cli::kMaxI64);
+    f.integer("--interrupt-after=N", "testing: SIGINT after N cells",
+              interrupt_after, 1, cli::kMaxI64);
+    if (!f.parse(argc, argv))
+        return exec::kExitOk;
     if (app_names.empty())
         for (const auto &app : workload::appCatalog())
             app_names.push_back(app.params.name);
@@ -265,7 +182,7 @@ main(int argc, char **argv)
         const std::string config = csprintf(
             "dcl1sweep designs=%s apps=%s cycles=%llu/%llu "
             "platform=[%s] seed=%llu",
-            joinCsv(design_names).c_str(), joinCsv(app_names).c_str(),
+            joinList(design_names).c_str(), joinList(app_names).c_str(),
             static_cast<unsigned long long>(opts.measureCycles),
             static_cast<unsigned long long>(opts.warmupCycles),
             sys.summary().c_str(),
