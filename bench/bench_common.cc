@@ -35,12 +35,6 @@ runJobSet(const exec::JobSet &set)
     }
     exec::ProgressSink progress;
     runner.addSink(&progress);
-    std::unique_ptr<exec::JsonlSink> jsonl;
-    if (!runner.options().jsonlPath.empty()) {
-        jsonl = std::make_unique<exec::JsonlSink>(
-            runner.options().jsonlPath);
-        runner.addSink(jsonl.get());
-    }
     return runner.run(set.specs());
 }
 

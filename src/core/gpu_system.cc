@@ -406,8 +406,8 @@ namespace
 
 /**
  * Arms the in-loop leak checks and guarantees they are disarmed even
- * when the loop is abandoned by an exception (cycle-budget watchdog,
- * trapped panic): teardown of a half-simulated machine legitimately
+ * when the loop is abandoned by an exception (trapped panic, a
+ * throwing heartbeat): teardown of a half-simulated machine legitimately
  * destroys in-flight requests.
  */
 struct RunLoopGuard

@@ -125,9 +125,9 @@ class GpuSystem
 
     /**
      * Called every few-thousand cycles during run() with the current
-     * global cycle. Used by the execution engine's cycle-budget
-     * watchdog; may throw to abandon the run (run() restores its
-     * bookkeeping flags on the way out, so teardown stays legal).
+     * global cycle (perfbench times its blocks with it); may throw to
+     * abandon the run (run() restores its bookkeeping flags on the way
+     * out, so teardown stays legal).
      */
     using CycleHeartbeat = std::function<void(Cycle)>;
 

@@ -20,13 +20,13 @@ inline constexpr int kExitOk = 0;
  *  (the process-wide convention; not engine-specific). */
 inline constexpr int kExitConfigError = 1;
 
-/** dcl1run: the single requested simulation failed (panic, budget). */
+/** dcl1run: the single requested simulation failed (panic, fatal,
+ *  worker exception). */
 inline constexpr int kExitRunFailed = 2;
 
 /** Sweep completed, but at least one cell failed for a *retryable*
- *  reason (watchdog timeout with retries exhausted, worker
- *  exception). Rows are dropped; rerunning or resuming with a larger
- *  budget may recover the missing cells. */
+ *  reason (worker exception with retries exhausted). Rows are
+ *  dropped; rerunning or resuming may recover the missing cells. */
 inline constexpr int kExitFailedCells = 3;
 
 /** Sweep interrupted (SIGINT / --interrupt-after): in-flight jobs

@@ -24,45 +24,30 @@
 
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 
-#include "common/types.hh"
 #include "core/gpu_system.hh"
 #include "prof/prof.hh"
 
 namespace dcl1::exec
 {
 
-/** Thrown by JobContext::checkCycleBudget when a job overruns. */
-class CycleBudgetExceeded : public std::runtime_error
-{
-  public:
-    explicit CycleBudgetExceeded(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
-
 /**
  * Why a job failed; drives the retry-with-quarantine policy.
  *
- * Timeout (the cooperative cycle-budget watchdog fired) is the only
- * kind the policy considers possibly-spurious: the job is retried up
- * to ExecOptions::maxRetries times with an escalating budget.
  * WorkerException (any C++ exception the model did not classify, e.g.
- * bad_alloc under a loaded pool) is retried without escalation.
- * SimBug (panic) and ConfigError (fatal) are *deterministic* — the
- * simulator is a pure function of its configuration — so those jobs
- * are quarantined immediately and never burn a retry.
+ * bad_alloc under a loaded pool) is the only kind the policy considers
+ * possibly-spurious: the job is retried up to ExecOptions::maxRetries
+ * times. SimBug (panic) and ConfigError (fatal) are *deterministic* —
+ * the simulator is a pure function of its configuration — so those
+ * jobs are quarantined immediately and never burn a retry.
  */
 enum class FailureKind : std::uint8_t
 {
     None,            ///< job succeeded
-    Timeout,         ///< cycle-budget watchdog fired (retryable)
     SimBug,          ///< panic(): internal invariant violated
     ConfigError,     ///< fatal(): impossible configuration
-    WorkerException, ///< unclassified C++ exception on the worker
+    WorkerException, ///< unclassified C++ exception on the worker (retryable)
 };
 
 /** Human-readable FailureKind name (stable; used in crash records). */
@@ -75,23 +60,11 @@ struct ExecOptions
     unsigned jobs = 0;
 
     /**
-     * Per-job simulated-cycle watchdog budget; 0 = unlimited. A grid
-     * job whose warmup+measure interval exceeds the budget is failed
-     * (mid-run, via the GpuSystem heartbeat) instead of hogging a
-     * worker forever.
-     */
-    Cycle cycleBudget = 0;
-
-    /**
      * Retries after the first failed attempt for *retryable* failures
-     * (Timeout, WorkerException). Timeouts escalate: attempt k runs
-     * with cycleBudget * budgetEscalation^k. Quarantined failures
-     * (SimBug/ConfigError) never retry.
+     * (WorkerException). Quarantined failures (SimBug/ConfigError)
+     * never retry.
      */
     unsigned maxRetries = 2;
-
-    /** Budget multiplier per timeout retry (>= 1). */
-    double budgetEscalation = 2.0;
 
     /**
      * When non-empty, every job that ends failed writes a structured
@@ -105,7 +78,10 @@ struct ExecOptions
     /** Emit per-job progress lines to stderr. */
     bool progress = true;
 
-    /** When non-empty, append one JSON record per job to this file. */
+    /**
+     * When non-empty, the JobRunner appends one JSON record per job to
+     * this file (JsonlSink). It must not be a run directory's WAL.
+     */
     std::string jsonlPath;
 
     /**
@@ -120,11 +96,10 @@ struct ExecOptions
     static unsigned hardwareConcurrency();
 
     /**
-     * Environment defaults: DCL1_JOBS (worker count), DCL1_JOB_BUDGET
-     * (per-job cycle budget), DCL1_RETRIES (retry count),
-     * DCL1_CRASH_DIR (crash-record directory), DCL1_JOBS_LOG (JSONL
-     * path), DCL1_PROF (any value = host phase profiling on). All
-     * strictly parsed.
+     * Environment defaults: DCL1_JOBS (worker count), DCL1_RETRIES
+     * (retry count), DCL1_CRASH_DIR (crash-record directory),
+     * DCL1_JOBS_LOG (JSONL path), DCL1_PROF (any value = host phase
+     * profiling on). All strictly parsed.
      */
     static ExecOptions fromEnv();
 };
@@ -133,8 +108,8 @@ struct ExecOptions
 class JobContext
 {
   public:
-    JobContext(std::size_t index, unsigned worker, Cycle cycle_budget)
-        : index_(index), worker_(worker), cycleBudget_(cycle_budget)
+    JobContext(std::size_t index, unsigned worker)
+        : index_(index), worker_(worker)
     {
     }
 
@@ -143,17 +118,6 @@ class JobContext
 
     /** Worker thread (0-based) executing the job. */
     unsigned worker() const { return worker_; }
-
-    /** Configured per-job cycle budget (0 = unlimited). */
-    Cycle cycleBudget() const { return cycleBudget_; }
-
-    /**
-     * Cooperative watchdog check: throw CycleBudgetExceeded when
-     * @p simulated_cycles exceeds the configured budget. Grid jobs
-     * call this from the GpuSystem run-loop heartbeat; custom jobs
-     * with their own tick loops should call it periodically too.
-     */
-    void checkCycleBudget(Cycle simulated_cycles) const;
 
     /**
      * Attach crash-diagnostic context: a JSON *fragment* (one or more
@@ -185,7 +149,6 @@ class JobContext
   private:
     std::size_t index_;
     unsigned worker_;
-    Cycle cycleBudget_;
     std::string crashContext_;
     std::string timelinePath_;
 };

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <deque>
-#include <limits>
+#include <filesystem>
 #include <memory>
 #include <thread>
 
@@ -70,6 +69,16 @@ struct WorkerDeque
     }
 };
 
+/** Whether @p a and @p b name one file (symlinks and "./" resolved). */
+bool
+samePath(const std::string &a, const std::string &b)
+{
+    std::error_code ec_a, ec_b;
+    const auto canon_a = std::filesystem::weakly_canonical(a, ec_a);
+    const auto canon_b = std::filesystem::weakly_canonical(b, ec_b);
+    return !ec_a && !ec_b && canon_a == canon_b;
+}
+
 } // anonymous namespace
 
 const char *
@@ -78,8 +87,6 @@ failureKindName(FailureKind kind)
     switch (kind) {
       case FailureKind::None:
         return "none";
-      case FailureKind::Timeout:
-        return "timeout";
       case FailureKind::SimBug:
         return "sim-bug";
       case FailureKind::ConfigError:
@@ -103,9 +110,6 @@ ExecOptions::fromEnv()
     ExecOptions opts;
     opts.jobs = static_cast<unsigned>(
         envIntOr("DCL1_JOBS", 0, /*min_value=*/0, /*max_value=*/4096));
-    opts.cycleBudget = static_cast<Cycle>(
-        envIntOr("DCL1_JOB_BUDGET", 0, /*min_value=*/0,
-                 std::numeric_limits<std::int64_t>::max()));
     opts.maxRetries = static_cast<unsigned>(
         envIntOr("DCL1_RETRIES", 2, /*min_value=*/0, /*max_value=*/100));
     opts.crashDir = envStrOr("DCL1_CRASH_DIR", opts.crashDir);
@@ -114,19 +118,12 @@ ExecOptions::fromEnv()
     return opts;
 }
 
-void
-JobContext::checkCycleBudget(Cycle simulated_cycles) const
-{
-    if (cycleBudget_ != 0 && simulated_cycles > cycleBudget_)
-        throw CycleBudgetExceeded(csprintf(
-            "job %zu exceeded its cycle budget (%llu > %llu simulated "
-            "cycles)",
-            index_, static_cast<unsigned long long>(simulated_cycles),
-            static_cast<unsigned long long>(cycleBudget_)));
-}
-
 JobRunner::JobRunner(ExecOptions opts) : opts_(std::move(opts))
 {
+    if (!opts_.jsonlPath.empty()) {
+        jsonl_ = std::make_unique<JsonlSink>(opts_.jsonlPath);
+        sinks_.add(jsonl_.get());
+    }
 }
 
 void
@@ -138,6 +135,10 @@ JobRunner::addSink(ResultSink *sink)
 void
 JobRunner::attachManifest(RunManifest *manifest)
 {
+    if (manifest && jsonl_ && samePath(opts_.jsonlPath, manifest->walPath()))
+        fatal("per-job JSONL log '%s' is the write-ahead log of run "
+              "directory '%s'; write it elsewhere",
+              opts_.jsonlPath.c_str(), manifest->dir().c_str());
     manifest_ = manifest;
 }
 
@@ -213,20 +214,8 @@ JobRunner::run(const std::vector<JobSpec> &specs)
         const HostClock::time_point job_start = HostClock::now();
 
         std::string crash_context;
-        unsigned timeouts = 0;
         for (unsigned attempt = 0;; ++attempt) {
-            // Timeout escalation: a job that timed out k times re-runs
-            // with the budget scaled by escalation^k, so a near-miss
-            // gets headroom. Worker-exception retries keep the
-            // configured budget — the budget was not the problem.
-            Cycle budget = opts_.cycleBudget;
-            if (budget != 0 && timeouts > 0 &&
-                opts_.budgetEscalation > 1.0)
-                budget = static_cast<Cycle>(
-                    double(budget) *
-                    std::pow(opts_.budgetEscalation, double(timeouts)));
-
-            JobContext ctx(index, worker, budget);
+            JobContext ctx(index, worker);
             r.kind = FailureKind::None;
             r.error.clear();
             // Fresh profiler per attempt: a retried job reports the
@@ -240,9 +229,6 @@ JobRunner::run(const std::vector<JobSpec> &specs)
                 SimErrorTrap trap;
                 r.metrics = spec.fn(ctx);
                 r.ok = true;
-            } catch (const CycleBudgetExceeded &e) {
-                r.error = e.what();
-                r.kind = FailureKind::Timeout;
             } catch (const SimAbort &e) {
                 r.error = e.what();
                 r.kind = e.isPanic ? FailureKind::SimBug
@@ -272,8 +258,6 @@ JobRunner::run(const std::vector<JobSpec> &specs)
             }
             if (attempt >= opts_.maxRetries)
                 break;
-            if (r.kind == FailureKind::Timeout)
-                ++timeouts;
         }
         r.wallMs = msSince(job_start);
         if (r.prof.enabled)

@@ -18,18 +18,18 @@
  * Each job runs under a SimErrorTrap: panic()/fatal() raised inside
  * the simulated machine (and any C++ exception) are captured into the
  * job's JobResult::error instead of terminating the process; the
- * remaining jobs keep running. The cycle-budget watchdog
- * (ExecOptions::cycleBudget) fails runaway jobs the same way.
+ * remaining jobs keep running. Every simulation job runs a length
+ * fixed before it starts (warmup + measure cycles, or a serve run's
+ * horizon), so no job can run away.
  *
  * Retry with quarantine
  * ---------------------
  * A failed attempt is classified (FailureKind) before the engine
- * decides what to do with it. Watchdog timeouts retry up to
- * ExecOptions::maxRetries times with an escalating cycle budget;
- * unclassified worker exceptions retry at the same budget; panic() and
- * fatal() are deterministic — re-running an identical pure function
- * cannot help — so those jobs are quarantined on the first attempt.
- * Whatever the outcome, the batch completes with partial results.
+ * decides what to do with it. Unclassified worker exceptions retry up
+ * to ExecOptions::maxRetries times; panic() and fatal() are
+ * deterministic — re-running an identical pure function cannot help —
+ * so those jobs are quarantined on the first attempt. Whatever the
+ * outcome, the batch completes with partial results.
  *
  * Durable runs
  * ------------
@@ -52,6 +52,7 @@
 #ifndef DCL1_EXEC_JOB_RUNNER_HH
 #define DCL1_EXEC_JOB_RUNNER_HH
 
+#include <memory>
 #include <vector>
 
 #include "exec/job.hh"
@@ -66,6 +67,7 @@ class RunManifest;
 class JobRunner
 {
   public:
+    /** Installs a JsonlSink when ExecOptions::jsonlPath is set. */
     explicit JobRunner(ExecOptions opts = {});
 
     /** Attach an observer (not owned; must outlive run()). */
@@ -76,6 +78,8 @@ class JobRunner
      * outlive run()). Completed records satisfy matching jobs without
      * re-simulating; new completions are appended to the write-ahead
      * log as they land; run() finalizes the manifest on the way out.
+     * fatal() when ExecOptions::jsonlPath names the manifest's WAL:
+     * interleaved per-job records would read as corrupt WAL lines.
      */
     void attachManifest(RunManifest *manifest);
 
@@ -89,12 +93,11 @@ class JobRunner
     /** Worker count the last/next run resolves to for @p num_jobs. */
     unsigned resolveWorkers(std::size_t num_jobs) const;
 
-    const ExecOptions &options() const { return opts_; }
-
   private:
     ExecOptions opts_;
     /** Serializes all sink callbacks (see SinkFanout). */
     SinkFanout sinks_;
+    std::unique_ptr<JsonlSink> jsonl_; ///< set iff opts_.jsonlPath is
     RunManifest *manifest_ = nullptr;
 };
 

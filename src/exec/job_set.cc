@@ -30,11 +30,31 @@ timelineFileName(std::size_t index, const std::string &label)
 } // anonymous namespace
 
 core::RunMetrics
+runSimulation(core::GpuSystem &gpu, const CrashConfig &cell, JobContext &ctx)
+{
+    const std::string config = crashConfigJson(cell);
+    ctx.setCrashContext(config);
+    try {
+        gpu.run(cell.measure, cell.warmup);
+        gpu.finishTelemetry();
+        // Full audit at the end of the measured interval; run() itself
+        // audits on a power-of-two cadence.
+        DCL1_CHECK_ONLY(gpu.checkInvariants("exec::runSimulation"));
+    } catch (...) {
+        // The machine is still alive here. Best-effort: never mask the
+        // real failure.
+        try {
+            ctx.setCrashContext(config + "," + crashSnapshotJson(gpu));
+        } catch (...) {
+        }
+        throw;
+    }
+    return gpu.metrics();
+}
+
+core::RunMetrics
 runCell(const GridCell &cell, JobContext &ctx)
 {
-    // Crash-diagnostic cooperation: hand the engine a replayable
-    // description of this cell up front, so even a death during
-    // construction leaves a usable record.
     CrashConfig replay;
     replay.design = cell.design.name;
     replay.app = cell.app.name;
@@ -44,13 +64,9 @@ runCell(const GridCell &cell, JobContext &ctx)
     replay.seed = cell.sys.seed;
     replay.measure = cell.opts.measureCycles;
     replay.warmup = cell.opts.warmupCycles;
-    const std::string config = crashConfigJson(replay);
-    ctx.setCrashContext(config);
-
-    // Fail a mis-budgeted cell before paying for construction.
-    if (ctx.cycleBudget() != 0)
-        ctx.checkCycleBudget(cell.opts.warmupCycles +
-                             cell.opts.measureCycles);
+    // Set up front, so even a death during construction leaves a
+    // replayable record.
+    ctx.setCrashContext(crashConfigJson(replay));
 
     core::GpuSystem gpu(cell.sys, cell.design, cell.app);
 
@@ -68,28 +84,7 @@ runCell(const GridCell &cell, JobContext &ctx)
         });
         ctx.setTimelinePath(cell.timelinePath);
     }
-
-    core::GpuSystem::CycleHeartbeat heartbeat;
-    if (ctx.cycleBudget() != 0)
-        heartbeat = [&ctx](Cycle now) { ctx.checkCycleBudget(now); };
-    try {
-        gpu.run(cell.opts.measureCycles, cell.opts.warmupCycles,
-                heartbeat);
-        gpu.finishTelemetry();
-        // Full audit at the end of the measured interval, exactly like
-        // core::runOnce; run() itself audits on a power-of-two cadence.
-        DCL1_CHECK_ONLY(gpu.checkInvariants("exec::runCell"));
-    } catch (...) {
-        // The machine is still alive here: snapshot cycle, queue
-        // depths, and (DCL1_CHECK) recent ledger events into the
-        // crash context. Best-effort — never mask the real failure.
-        try {
-            ctx.setCrashContext(config + "," + crashSnapshotJson(gpu));
-        } catch (...) {
-        }
-        throw;
-    }
-    return gpu.metrics();
+    return runSimulation(gpu, replay, ctx);
 }
 
 std::size_t
@@ -143,16 +138,6 @@ JobSet::setTimelineDir(std::string dir, Cycle interval)
         ensureDirectory(dir);
     timelineDir_ = std::move(dir);
     timelineInterval_ = interval;
-}
-
-std::size_t
-JobSet::add(std::string label, JobFn fn)
-{
-    JobSpec spec;
-    spec.label = std::move(label);
-    spec.fn = std::move(fn);
-    specs_.push_back(std::move(spec));
-    return specs_.size() - 1;
 }
 
 } // namespace dcl1::exec

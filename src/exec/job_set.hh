@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "exec/crash_record.hh"
 #include "exec/job.hh"
 
 namespace dcl1::exec
@@ -43,9 +44,17 @@ struct GridCell
 };
 
 /**
- * Run one grid cell: semantically core::runOnce, plus the cooperative
- * cycle-budget watchdog wired into the GpuSystem run-loop heartbeat.
+ * The body every simulation job shares: with @p cell as the job's
+ * crash context, run @p gpu for cell.warmup + cell.measure cycles and
+ * close its telemetry. On a failure the machine snapshot (cycle, queue
+ * depths, recent ledger events) joins the crash context before the
+ * error propagates. DCL1_CHECK builds audit every invariant at the
+ * end, exactly like core::runOnce.
  */
+core::RunMetrics runSimulation(core::GpuSystem &gpu, const CrashConfig &cell,
+                               JobContext &ctx);
+
+/** Run one grid cell: semantically core::runOnce, as an engine job. */
 core::RunMetrics runCell(const GridCell &cell, JobContext &ctx);
 
 /** See file comment. */
@@ -62,9 +71,6 @@ class JobSet
                         const workload::WorkloadParams &app,
                         const core::ExperimentOptions &opts,
                         const std::string &key_suffix = "");
-
-    /** Add an arbitrary job (no memoization). Returns its index. */
-    std::size_t add(std::string label, JobFn fn);
 
     /**
      * Emit a per-cell cycle-interval timeline for every cell added

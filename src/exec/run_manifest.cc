@@ -248,9 +248,8 @@ JobRecord::fromJsonLine(const std::string &line, JobRecord &out)
     std::string kind;
     if (jsonFieldString(line, "kind", kind)) {
         for (const auto k :
-             {FailureKind::None, FailureKind::Timeout,
-              FailureKind::SimBug, FailureKind::ConfigError,
-              FailureKind::WorkerException})
+             {FailureKind::None, FailureKind::SimBug,
+              FailureKind::ConfigError, FailureKind::WorkerException})
             if (kind == failureKindName(k))
                 out.kind = k;
     }

@@ -19,8 +19,8 @@
  * JobSpec::key — (design, app, measure/warmup cycles, platform
  * summary, seed, key suffix) — and that record is either `ok` or
  * `quarantined`. Quarantined failures are deterministic, so re-running
- * them cannot help; retryable failures (timeout, worker exception) are
- * *not* recorded and therefore re-run on resume. Metrics round-trip
+ * them cannot help; retryable failures (worker exceptions) are *not*
+ * recorded and therefore re-run on resume. Metrics round-trip
  * through "%.17g", so a resumed batch reproduces a clean run's CSV
  * byte for byte.
  */
@@ -138,6 +138,7 @@ class RunManifest
     }
 
     const std::string &dir() const { return dir_; }
+    const std::string &walPath() const { return wal_.path(); }
     std::string crashDir() const { return dir_ + "/crash"; }
 
     /** Use openOrCreate(); public only for std::make_unique. */

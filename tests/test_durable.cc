@@ -437,9 +437,9 @@ TEST(Durable, CrashRecordRoundTripsReplayConfig)
         JobResult result;
         result.index = written.trace.empty() ? 3 : 4;
         result.label = "Private-40/LeNet";
-        result.kind = FailureKind::Timeout;
-        result.attempts = 3;
-        result.error = "cycle budget exceeded: 8000 > 4000";
+        result.kind = FailureKind::SimBug;
+        result.attempts = 1;
+        result.error = "deadlock at cycle 8000";
         writeCrashRecord(dir, result, crashConfigJson(written));
 
         const std::string path =
@@ -487,7 +487,7 @@ TEST(DurableDeathTest, CrashRecordWithNonNumericFieldCannotReplay)
     JobResult result;
     result.index = 0;
     result.label = "Baseline/T-AlexNet";
-    result.kind = FailureKind::Timeout;
+    result.kind = FailureKind::ConfigError;
     writeCrashRecord(dir, result,
                      "\"design\":\"Baseline\",\"app\":\"T-AlexNet\","
                      "\"measure\":garbage,\"warmup\":1000");

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel experiment-execution engine: deterministic
- * result ordering, fault isolation, memoization, the cycle-budget
- * watchdog and the observability sinks.
+ * result ordering, fault isolation, retry with quarantine, memoization
+ * and the observability sinks.
  */
 
 #include <gtest/gtest.h>
@@ -137,50 +137,6 @@ TEST(Exec, PanicStillAbortsOutsideTheEngine)
     // remains fatal (death tests across the suite depend on this).
     EXPECT_EXIT(panic("untrapped"), ::testing::KilledBySignal(SIGABRT),
                 "untrapped");
-}
-
-TEST(Exec, CycleBudgetWatchdog)
-{
-    ExecOptions opts = quietOpts(2);
-    opts.cycleBudget = 1000;
-    std::vector<JobSpec> specs;
-    specs.push_back({"overruns", [](JobContext &ctx) -> core::RunMetrics {
-                         core::RunMetrics rm;
-                         for (Cycle c = 0; c < 100000; c += 100)
-                             ctx.checkCycleBudget(c);
-                         rm.ipc = 1.0; // not reached
-                         return rm;
-                     }});
-    specs.push_back({"fits", [](JobContext &ctx) {
-                         ctx.checkCycleBudget(500);
-                         core::RunMetrics rm;
-                         rm.ipc = 2.0;
-                         return rm;
-                     }});
-    JobRunner runner(opts);
-    const auto results = runner.run(specs);
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_NE(results[0].error.find("cycle budget"), std::string::npos);
-    EXPECT_TRUE(results[1].ok);
-    EXPECT_DOUBLE_EQ(results[1].metrics.ipc, 2.0);
-}
-
-TEST(Exec, GridCellHonoursBudget)
-{
-    // A real grid cell whose warmup+measure interval exceeds the
-    // budget fails up front instead of simulating.
-    core::SystemConfig sys;
-    const auto &app = workload::appCatalog().front();
-    JobSet set;
-    set.addCell(sys, core::baselineDesign(), app.params, shortRun());
-
-    ExecOptions opts = quietOpts(1);
-    opts.cycleBudget = 100; // far below warmup+measure = 2500
-    JobRunner runner(opts);
-    const auto results = runner.run(set.specs());
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_NE(results[0].error.find("cycle budget"), std::string::npos);
 }
 
 TEST(Exec, JobSetMemoization)
@@ -321,10 +277,9 @@ TEST(Exec, JsonlSinkWritesOneRecordPerJob)
         specs.push_back({"bad", [](JobContext &) -> core::RunMetrics {
                              throw std::runtime_error("line1\nline2");
                          }});
-        JsonlSink sink(path);
-        JobRunner runner(quietOpts(2));
-        runner.addSink(&sink);
-        runner.run(specs);
+        ExecOptions opts = quietOpts(2);
+        opts.jsonlPath = path; // the runner installs the JsonlSink
+        JobRunner(opts).run(specs);
     }
 
     std::ifstream in(path);
@@ -367,13 +322,6 @@ TEST(Exec, FromEnvStrictParsing)
                 "out of range");
     unsetenv("DCL1_JOBS");
 
-    setenv("DCL1_JOB_BUDGET", "5000", 1);
-    EXPECT_EQ(ExecOptions::fromEnv().cycleBudget, 5000u);
-    setenv("DCL1_JOB_BUDGET", "5k", 1);
-    EXPECT_EXIT(ExecOptions::fromEnv(), ::testing::ExitedWithCode(1),
-                "trailing garbage");
-    unsetenv("DCL1_JOB_BUDGET");
-
     setenv("DCL1_RETRIES", "7", 1);
     EXPECT_EQ(ExecOptions::fromEnv().maxRetries, 7u);
     setenv("DCL1_RETRIES", "lots", 1);
@@ -404,61 +352,11 @@ TEST(Exec, FailureKindNamesAreStable)
     // Serialized into WAL records and crash files; renames would make
     // old run directories unreadable.
     EXPECT_STREQ(failureKindName(FailureKind::None), "none");
-    EXPECT_STREQ(failureKindName(FailureKind::Timeout), "timeout");
     EXPECT_STREQ(failureKindName(FailureKind::SimBug), "sim-bug");
     EXPECT_STREQ(failureKindName(FailureKind::ConfigError),
                  "config-error");
     EXPECT_STREQ(failureKindName(FailureKind::WorkerException),
                  "worker-exception");
-}
-
-TEST(Exec, TimeoutRetriesWithEscalatingBudget)
-{
-    ExecOptions opts = quietOpts(1);
-    opts.cycleBudget = 1000;
-    opts.maxRetries = 2;
-    opts.budgetEscalation = 2.0;
-
-    std::vector<Cycle> budgets; // serial runner: no locking needed
-    std::vector<JobSpec> specs;
-    specs.push_back(
-        {"overruns", [&](JobContext &ctx) -> core::RunMetrics {
-             budgets.push_back(ctx.cycleBudget());
-             ctx.checkCycleBudget(1000000);
-             return {};
-         }});
-    const auto results = JobRunner(opts).run(specs);
-
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_EQ(results[0].kind, FailureKind::Timeout);
-    EXPECT_FALSE(results[0].quarantined);
-    EXPECT_EQ(results[0].attempts, 3u);
-    ASSERT_EQ(budgets.size(), 3u);
-    EXPECT_EQ(budgets[0], 1000u);
-    EXPECT_EQ(budgets[1], 2000u);
-    EXPECT_EQ(budgets[2], 4000u);
-}
-
-TEST(Exec, TimeoutRecoversWhenEscalationSuffices)
-{
-    ExecOptions opts = quietOpts(1);
-    opts.cycleBudget = 1000;
-    opts.maxRetries = 2;
-
-    std::vector<JobSpec> specs;
-    specs.push_back({"nearmiss", [](JobContext &ctx) {
-                         // Needs 1500 cycles: over the first budget,
-                         // under the doubled one.
-                         ctx.checkCycleBudget(1500);
-                         core::RunMetrics rm;
-                         rm.ipc = 1.0;
-                         return rm;
-                     }});
-    const auto results = JobRunner(opts).run(specs);
-
-    EXPECT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_EQ(results[0].attempts, 2u);
-    EXPECT_EQ(results[0].kind, FailureKind::None);
 }
 
 TEST(Exec, DeterministicFailuresAreQuarantinedWithoutRetry)
@@ -491,32 +389,37 @@ TEST(Exec, DeterministicFailuresAreQuarantinedWithoutRetry)
     EXPECT_EQ(fatal_runs, 1);
 }
 
-TEST(Exec, WorkerExceptionsRetryAtConstantBudget)
+TEST(Exec, WorkerExceptionsRetryUpToMaxRetries)
 {
     ExecOptions opts = quietOpts(1);
-    opts.cycleBudget = 1000;
     opts.maxRetries = 2;
 
-    int runs = 0;
-    std::vector<Cycle> budgets;
+    int flaky_runs = 0, broken_runs = 0;
     std::vector<JobSpec> specs;
-    specs.push_back({"flaky", [&](JobContext &ctx) -> core::RunMetrics {
-                         budgets.push_back(ctx.cycleBudget());
-                         if (++runs < 3)
+    specs.push_back({"flaky", [&](JobContext &) -> core::RunMetrics {
+                         if (++flaky_runs < 3)
                              throw std::runtime_error("transient");
                          core::RunMetrics rm;
                          rm.ipc = 1.0;
                          return rm;
                      }});
+    specs.push_back({"broken", [&](JobContext &) -> core::RunMetrics {
+                         ++broken_runs;
+                         throw std::runtime_error("persistent");
+                     }});
     const auto results = JobRunner(opts).run(specs);
 
+    // Two failures, then success on the last allowed attempt.
     EXPECT_TRUE(results[0].ok) << results[0].error;
     EXPECT_EQ(results[0].attempts, 3u);
-    // No escalation for unclassified exceptions: the budget was not
-    // the problem.
-    ASSERT_EQ(budgets.size(), 3u);
-    EXPECT_EQ(budgets[1], 1000u);
-    EXPECT_EQ(budgets[2], 1000u);
+    EXPECT_EQ(flaky_runs, 3);
+
+    // Retries exhausted: failed, retryable, never quarantined.
+    EXPECT_FALSE(results[1].ok);
+    EXPECT_EQ(results[1].kind, FailureKind::WorkerException);
+    EXPECT_FALSE(results[1].quarantined);
+    EXPECT_EQ(results[1].attempts, 3u);
+    EXPECT_EQ(broken_runs, 3);
 }
 
 TEST(Exec, SummaryCountsQuarantinedJobs)

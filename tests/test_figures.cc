@@ -16,14 +16,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <ios>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "common/log.hh"
 #include "exec/determinism.hh"
+#include "exec/job_set.hh"
+#include "exec/run_manifest.hh"
 
 namespace dcl1::bench
 {
@@ -76,8 +82,7 @@ setTinyBudget()
     setenv("DCL1_WARMUP", "100", 1);
     setenv("DCL1_APPS", "T-AlexNet,P-2DCONV", 1);
     setenv("DCL1_JOBS", "2", 1);
-    for (const char *name : {"DCL1_RUN_DIR", "DCL1_TIMELINE",
-                             "DCL1_JOBS_LOG", "DCL1_JOB_BUDGET"})
+    for (const char *name : {"DCL1_RUN_DIR", "DCL1_TIMELINE", "DCL1_JOBS_LOG"})
         unsetenv(name);
 }
 
@@ -158,11 +163,26 @@ TEST(FiguresDeathTest, CellDeclaredByAnotherFigurePanics)
 TEST(FiguresDeathTest, FailedCellIsFatalWithItsError)
 {
     setTinyBudget();
+    const std::string dir =
+        ::testing::TempDir() +
+        csprintf("dcl1-figures-%d-quarantined", int(getpid()));
+    std::filesystem::remove_all(dir);
     EXPECT_EXIT(
         {
-            // A 10-cycle watchdog fails the 400-cycle cell up front.
-            setenv("DCL1_JOB_BUDGET", "10", 1);
-            setenv("DCL1_RETRIES", "0", 1);
+            // A quarantined record in the run directory's WAL resumes
+            // as a failed cell without simulating it.
+            exec::JobSet probe;
+            probe.addCell(core::SystemConfig{}, core::baselineDesign(),
+                          workload::appByName("T-AlexNet").params,
+                          core::ExperimentOptions::fromEnv());
+            exec::JobRecord rec;
+            rec.key = probe.specs()[0].key;
+            rec.label = probe.label(0);
+            rec.quarantined = true;
+            rec.kind = exec::FailureKind::SimBug;
+            rec.error = "deadlock at cycle 42";
+            exec::RunManifest::openOrCreate(dir, "bench")->append(rec);
+            setenv("DCL1_RUN_DIR", dir.c_str(), 1);
             Harness h;
             h.setFigure("probe");
             h.declare({}, {workload::appByName("T-AlexNet")});
@@ -170,7 +190,8 @@ TEST(FiguresDeathTest, FailedCellIsFatalWithItsError)
             h.baseline(workload::appByName("T-AlexNet"));
         },
         ::testing::ExitedWithCode(1),
-        "figure probe: cell Baseline/T-AlexNet failed: .*budget");
+        "figure probe: cell Baseline/T-AlexNet failed: deadlock at cycle 42");
+    std::filesystem::remove_all(dir);
 }
 
 TEST(FiguresDeathTest, UnknownFigureIsFatal)

@@ -3,13 +3,15 @@
  * The command-line tools' option tables (tools/cli.hh): bare and
  * valued entries, strict numbers, unknown options, generated --help;
  * then the built dcl1serve and dcl1sweep, exec'd, stop with exit code
- * 1 before simulating when a flag is malformed.
+ * 1 before simulating when a flag is malformed or the options conflict.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -246,6 +248,16 @@ TEST(Dcl1serveDeathTest, MalformedNumbersAreRejected)
                 "--lambda: 'inf' is not a finite number");
 }
 
+TEST(Dcl1serveDeathTest, ZeroLambdaWithoutArrivalsIsRejected)
+{
+    // Poisson arrivals need a positive rate; only --arrivals cells
+    // carry the 0 label.
+    EXPECT_EXIT(execTool(DCL1SERVE_PATH, {"--lambda=1,0", "--num-jobs=5",
+                                          "--horizon=50000"}),
+                ::testing::ExitedWithCode(1),
+                "--lambda: '0' is not a positive rate");
+}
+
 TEST(Dcl1sweepDeathTest, BadFlagsAreRejected)
 {
     EXPECT_EXIT(execTool(DCL1SWEEP_PATH, {"--jobs=0"}),
@@ -253,6 +265,31 @@ TEST(Dcl1sweepDeathTest, BadFlagsAreRejected)
     EXPECT_EXIT(execTool(DCL1SWEEP_PATH, {"--design=Sh40"}),
                 ::testing::ExitedWithCode(1),
                 "unknown option '--design=Sh40'");
+    EXPECT_EXIT(execTool(DCL1SWEEP_PATH, {"--budget=1000"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option '--budget=1000'");
+}
+
+TEST(Dcl1sweepDeathTest, JsonlIntoTheRunDirectoryWalIsRejected)
+{
+    // Per-job records interleaved into the WAL read back as corrupt
+    // lines on resume.
+    const std::string dir =
+        ::testing::TempDir() + "dcl1-sweep-" + std::to_string(getpid());
+    const std::string wal = dir + "/./jobs.jsonl";
+    const std::string run_dir = "--run-dir=" + dir;
+    const std::string jsonl = "--jsonl=" + wal;
+    EXPECT_EXIT(
+        {
+            setenv("DCL1_CYCLES", "300", 1);
+            setenv("DCL1_WARMUP", "100", 1);
+            execTool(DCL1SWEEP_PATH,
+                     {"--designs=Baseline", "--apps=T-AlexNet",
+                      run_dir.c_str(), jsonl.c_str(), "--out=-"});
+        },
+        ::testing::ExitedWithCode(1),
+        "per-job JSONL log '.*' is the write-ahead log of run directory");
+    std::filesystem::remove_all(dir);
 }
 
 } // anonymous namespace

@@ -14,8 +14,7 @@
  *
  * The simulation executes as a single job of the src/exec engine: a
  * panic inside the model is reported as a failed run (exit 2) with
- * its message instead of aborting, host wall time is measured, and
- * the optional cycle-budget watchdog bounds a runaway configuration.
+ * its message instead of aborting, and host wall time is measured.
  * On failure the job's crash context (configuration, last cycle,
  * queue depths, recent ledger events under DCL1_CHECK) lands in
  * --crash-dir, and `--replay-crash=<that file>` turns the forensic
@@ -33,7 +32,7 @@
 #include "exec/crash_record.hh"
 #include "exec/exit_codes.hh"
 #include "exec/job_runner.hh"
-#include "exec/result_sink.hh"
+#include "exec/job_set.hh"
 #include "stats/prof_trace.hh"
 #include "tools/cli.hh"
 #include "workload/app_catalog.hh"
@@ -54,7 +53,6 @@ struct Options
     Cycle timelineInterval = 0;    ///< 0 = DCL1_TIMELINE_INTERVAL
     std::string traceOutFile;
     std::uint32_t latencyEvery = 0; ///< 0 = attribution disabled
-    dcl1::Cycle budget = 0;
     std::string jsonlFile;
     std::string crashDir;
     std::string replayCrash;
@@ -109,7 +107,6 @@ main(int argc, char **argv)
                  o.profile = true;
                  o.profileFile = file;
              });
-    f.integer("--budget=N", "simulated-cycle watchdog", o.budget, 1, kMaxI64);
     f.text("--jsonl=FILE", "append a JSON run record", o.jsonlFile);
     f.text("--crash-dir=DIR", "crash record on failure (DCL1_CRASH_DIR)",
            o.crashDir);
@@ -155,25 +152,20 @@ main(int argc, char **argv)
     const core::DesignConfig design = core::designByName(cell.design);
 
     std::unique_ptr<core::GpuSystem> gpu;
-    std::unique_ptr<workload::TraceFileSource> trace_probe;
     if (!cell.trace.empty()) {
-        // Trace mode: wrap the trace as the workload via a synthetic
-        // params shell (GpuSystem owns its own source for catalog
-        // apps; for traces we simulate via the trace-driven app).
+        // Trace mode: the parsed trace is the workload; a params shell
+        // carries its name and warp count.
+        auto source = std::make_unique<workload::TraceFileSource>(
+            cell.trace, cell.cores);
         workload::WorkloadParams shell;
         shell.name = cell.trace;
-        trace_probe = std::make_unique<workload::TraceFileSource>(
-            cell.trace, cell.cores);
-        shell.warpsPerCore = trace_probe->warpsPerCore(0);
+        shell.warpsPerCore = source->warpsPerCore(0);
         inform("trace '%s': %llu instructions, %u warps/core",
                cell.trace.c_str(),
-               static_cast<unsigned long long>(
-                   trace_probe->instructionCount()),
+               static_cast<unsigned long long>(source->instructionCount()),
                shell.warpsPerCore);
-        gpu = std::make_unique<core::GpuSystem>(
-            sys, design, shell,
-            std::make_unique<workload::TraceFileSource>(
-                cell.trace, cell.cores));
+        gpu = std::make_unique<core::GpuSystem>(sys, design, shell,
+                                                std::move(source));
     } else {
         const auto &app = workload::appByName(cell.app);
         gpu = std::make_unique<core::GpuSystem>(sys, design, app.params);
@@ -208,43 +200,20 @@ main(int argc, char **argv)
     // wall time.
     exec::ExecOptions eopts;
     eopts.jobs = 1;
-    eopts.cycleBudget = o.budget;
     eopts.maxRetries = 0; // interactive single shot; no silent re-runs
     eopts.crashDir = o.crashDir;
     if (eopts.crashDir.empty())
         eopts.crashDir = envStrOr("DCL1_CRASH_DIR", "");
+    eopts.jsonlPath = o.jsonlFile;
     eopts.profile = o.profile || envIsSet("DCL1_PROF");
     exec::JobRunner runner(eopts);
-    std::unique_ptr<exec::JsonlSink> jsonl;
-    if (!o.jsonlFile.empty()) {
-        jsonl = std::make_unique<exec::JsonlSink>(o.jsonlFile);
-        runner.addSink(jsonl.get());
-    }
     std::vector<exec::JobSpec> specs(1);
     specs[0].label =
         design.name + "/" + (cell.trace.empty() ? cell.app : cell.trace);
-    // Crash-diagnostic cooperation (see exec/crash_record.hh): the
-    // replayable configuration up front, the machine state on death.
     exec::CrashConfig replay = cell;
     replay.design = design.name;
-    const std::string crash_cfg = exec::crashConfigJson(replay);
     specs[0].fn = [&](exec::JobContext &ctx) {
-        ctx.setCrashContext(crash_cfg);
-        core::GpuSystem::CycleHeartbeat heartbeat;
-        if (ctx.cycleBudget() != 0)
-            heartbeat = [&ctx](Cycle now) { ctx.checkCycleBudget(now); };
-        try {
-            gpu->run(cell.measure, cell.warmup, heartbeat);
-            gpu->finishTelemetry();
-        } catch (...) {
-            try {
-                ctx.setCrashContext(crash_cfg + "," +
-                                    exec::crashSnapshotJson(*gpu));
-            } catch (...) {
-            }
-            throw;
-        }
-        return gpu->metrics();
+        return exec::runSimulation(*gpu, replay, ctx);
     };
     const std::vector<exec::JobResult> results = runner.run(specs);
     if (!results[0].ok) {

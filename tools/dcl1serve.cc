@@ -26,7 +26,6 @@
 
 #include "common/log.hh"
 #include "core/experiment.hh"
-#include "core/gpu_system.hh"
 #include "exec/atomic_file.hh"
 #include "exec/exit_codes.hh"
 #include "exec/job_runner.hh"
@@ -53,7 +52,7 @@ struct Options
     std::uint32_t channels = 16;
     std::uint64_t seed = 1;
     serve::ServeOptions run;  ///< per-cell policy and load unset
-    exec::ExecOptions engine; ///< workers and cycle budget
+    exec::ExecOptions engine; ///< worker count
     std::string jobLogFile;
     std::string jobLogDir;
     std::string csvFile;
@@ -131,8 +130,6 @@ main(int argc, char **argv)
     f.text("--job-log-dir=DIR", "per-job JSONL per cell", o.jobLogDir);
     f.text("--csv=FILE", "summary CSV, one row per cell", o.csvFile);
     f.integer("--jobs=N", "worker threads", o.engine.jobs, 1, 4096);
-    f.integer("--budget=N", "per-cell cycle watchdog", o.engine.cycleBudget, 1,
-              kMaxI64);
     f.flag("--equivalence-check", "one serve job == the classic run",
            o.equivalenceCheck);
     f.text("--app=NAME", "--equivalence-check app", o.eqApp);
@@ -175,6 +172,11 @@ main(int argc, char **argv)
     // Trace-driven arrivals make one load point, labelled 0.
     const std::vector<double> lambdas =
         o.run.trace.empty() ? o.lambdas : std::vector<double>{0.0};
+    if (o.run.trace.empty())
+        for (const double l : lambdas)
+            if (!(l > 0.0))
+                fatal("--lambda: '%s' is not a positive rate",
+                      stats::formatDouble(l).c_str());
     if (o.designs.empty() || o.policies.empty() || lambdas.empty())
         fatal("need at least one design, policy, and lambda");
 
@@ -202,14 +204,13 @@ main(int argc, char **argv)
         specs[i].label = cell.design + "/" +
                          serve::policyName(cell.policy) + "/" +
                          stats::formatDouble(cell.lambda);
-        specs[i].fn = [&, i](exec::JobContext &ctx) {
+        specs[i].fn = [&, i](exec::JobContext &) {
             Cell &me = cells[i];
             const core::DesignConfig design =
                 core::designByName(me.design);
             serve::ServeOptions sopts = o.run;
             sopts.policy = me.policy;
-            sopts.lambdaJobsPerKcycle =
-                me.lambda > 0.0 ? me.lambda : 1.0;
+            sopts.lambdaJobsPerKcycle = me.lambda; // unused with a trace
             sopts.seed = o.seed;
             serve::ServeSim sim(sys, design, mix, sopts);
             std::unique_ptr<exec::AppendLog> log;
@@ -223,12 +224,7 @@ main(int argc, char **argv)
                     raw->appendLine(line);
                 });
             }
-            core::GpuSystem::CycleHeartbeat heartbeat;
-            if (ctx.cycleBudget() != 0)
-                heartbeat = [&ctx](Cycle now) {
-                    ctx.checkCycleBudget(now);
-                };
-            me.summary = sim.run(heartbeat);
+            me.summary = sim.run();
             return me.summary.machine;
         };
     }

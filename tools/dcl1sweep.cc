@@ -23,15 +23,16 @@
  * --jobs value, and (via the run manifest's "%.17g" metric
  * round-trip) for any interrupt/resume split of the batch.
  *
- * Failures follow the retry-with-quarantine policy: a cell that
- * exceeds --budget retries up to --retries times with a doubling
- * budget; a panic/fatal inside the model is deterministic and is
- * quarantined immediately with a structured crash record under
- * <run-dir>/crash/ (or --crash-dir). The sweep always completes with
- * partial results; see --help for the exit-code contract. SIGINT or
- * SIGTERM drains in-flight cells, finalizes the manifest, and exits
- * resumable. --jsonl=FILE (or DCL1_JOBS_LOG) appends per-job wall
- * time and outcome records.
+ * Failures follow the retry-with-quarantine policy: a cell whose worker
+ * throws an unclassified exception retries up to --retries times; a
+ * panic/fatal inside the model is deterministic and is quarantined
+ * immediately with a structured crash record under <run-dir>/crash/
+ * (or --crash-dir). The sweep always completes with partial results;
+ * see --help for the exit-code contract. SIGINT or SIGTERM drains
+ * in-flight cells, finalizes the manifest, and exits resumable.
+ * --jsonl=FILE (or DCL1_JOBS_LOG) appends per-job wall time and
+ * outcome records; FILE must not be the run directory's jobs.jsonl,
+ * which is the write-ahead log.
  *
  * With --timeline-dir, each job's timeline path is surfaced in the
  * end-of-run report and recorded in jobs.jsonl, so a resumed run can
@@ -109,8 +110,6 @@ main(int argc, char **argv)
     f.integer("--jobs=N", "worker threads (DCL1_JOBS; 0: one per core)",
               eopts.jobs, 1, 4096);
     f.flag("--profile", "host phase profiling (DCL1_PROF)", eopts.profile);
-    f.integer("--budget=N", "per-cell cycle watchdog (DCL1_JOB_BUDGET)",
-              eopts.cycleBudget, 1, cli::kMaxI64);
     f.integer("--retries=N", "retries of retryable failures (DCL1_RETRIES)",
               eopts.maxRetries, 0, 100);
     f.text("--run-dir=DIR", "durable run directory (DCL1_RUN_DIR)",
@@ -174,9 +173,8 @@ main(int argc, char **argv)
     }
 
     // Durable-run identity: everything that determines the grid and
-    // its results. Runtime knobs (--jobs, --budget, --retries) are
-    // deliberately absent — resuming with a larger budget to recover
-    // timed-out cells is the point of the retry policy.
+    // its results. Runtime knobs (--jobs, --retries) are deliberately
+    // absent: they do not change any result.
     std::unique_ptr<exec::RunManifest> manifest;
     if (!run_dir.empty()) {
         const std::string config = csprintf(
@@ -207,11 +205,6 @@ main(int argc, char **argv)
     exec::ProgressSink progress;
     if (eopts.progress)
         runner.addSink(&progress);
-    std::unique_ptr<exec::JsonlSink> jsonl;
-    if (!eopts.jsonlPath.empty()) {
-        jsonl = std::make_unique<exec::JsonlSink>(eopts.jsonlPath);
-        runner.addSink(jsonl.get());
-    }
     std::unique_ptr<InterruptAfterSink> injector;
     if (interrupt_after > 0) {
         injector = std::make_unique<InterruptAfterSink>(interrupt_after);
